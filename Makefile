@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt-check vet build test race cover crash-recovery metamorphic fuzz-smoke load-smoke bench bench-smoke bench-json clean
+.PHONY: ci fmt-check vet build test race cover crash-recovery metamorphic fuzz-smoke load-smoke perfbench-selftest bench bench-smoke bench-json clean
 
-ci: fmt-check vet build race cover crash-recovery metamorphic fuzz-smoke load-smoke bench-smoke
+ci: fmt-check vet build race cover crash-recovery metamorphic fuzz-smoke load-smoke perfbench-selftest bench-smoke
 
 fmt-check:
 	@out=$$(gofmt -l .); \
@@ -70,6 +70,13 @@ fuzz-smoke:
 # clean at low load — percentiles populated, nothing shed or timed out.
 load-smoke:
 	$(GO) test -run TestLoadSmoke -v .
+
+# The repository benchmark's self-test (perfbench/ is a module of its
+# own, so the root ./... does not reach it): every workload on a tiny
+# fixture, traced and untraced, with the benchmark's answer checks — a
+# change that breaks what the benchmark checks fails here.
+perfbench-selftest:
+	cd perfbench && $(GO) test ./...
 
 # One iteration of every benchmark: catches bit-rot without timing.
 bench-smoke:

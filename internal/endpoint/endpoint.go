@@ -271,9 +271,10 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	src, err := readUpdateBody(r)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		http.Error(w, err.Error(), bodyStatus(err))
 		return
 	}
 	res, execErr := s.mediator.ExecuteStringOn(src, target)
@@ -297,6 +298,21 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# no report\n")
 }
 
+// maxBodyBytes caps a request body. A larger body is refused whole
+// with 413 before anything executes — never cut off and run as a
+// prefix.
+const maxBodyBytes = 16 << 20
+
+// bodyStatus maps a failure to read a request body onto the wire: 413
+// when the body exceeds maxBodyBytes, 400 otherwise.
+func bodyStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 // readUpdateBody accepts the raw body, a form-encoded "update"
 // parameter, or "application/sparql-update" content.
 func readUpdateBody(r *http.Request) (string, error) {
@@ -310,7 +326,7 @@ func readUpdateBody(r *http.Request) (string, error) {
 		}
 		return "", fmt.Errorf("endpoint: missing 'update' form parameter")
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
+	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		return "", fmt.Errorf("endpoint: reading body: %w", err)
 	}
@@ -326,13 +342,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		query = r.URL.Query().Get("query")
 	case http.MethodPost:
+		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 		if err := r.ParseForm(); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+			http.Error(w, err.Error(), bodyStatus(err))
 			return
 		}
 		query = r.PostForm.Get("query")
 		if query == "" {
-			body, _ := io.ReadAll(io.LimitReader(r.Body, 16<<20))
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				http.Error(w, "endpoint: reading body: "+err.Error(), bodyStatus(err))
+				return
+			}
 			query = string(body)
 		}
 	default:

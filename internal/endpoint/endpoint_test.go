@@ -370,3 +370,44 @@ func TestEndToEndModifyOverHTTP(t *testing.T) {
 		t.Errorf("mbox after modify = %v", res.Solutions)
 	}
 }
+
+// TestOversizedBodyRefused sends bodies one byte over the 16 MiB cap
+// to both routes, raw and form-encoded. Each must be refused whole
+// with 413: the update is a valid request followed by a long comment,
+// so a body cut off at the cap would still parse — and execute — as
+// its prefix.
+func TestOversizedBodyRefused(t *testing.T) {
+	s, _ := newServer(t)
+	export := func() string {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/export", nil))
+		return rec.Body.String()
+	}
+	before := export()
+	pad := func(prefix string) string {
+		return prefix + "\n#" + strings.Repeat("x", maxBodyBytes+1-len(prefix)-2)
+	}
+	update := pad(workload.Listing15)
+	query := pad(workload.Prologue + "SELECT ?x WHERE { ?x ?p ?o . }")
+	for _, c := range []struct{ path, contentType, body string }{
+		{"/update", "application/sparql-update", update},
+		{"/update", "application/x-www-form-urlencoded", pad("update=" + url.QueryEscape(workload.Listing15))},
+		{"/sparql", "application/sparql-query", query},
+		{"/sparql", "application/x-www-form-urlencoded", pad("query=" + url.QueryEscape(workload.Prologue+"ASK { ?x ?p ?o }"))},
+	} {
+		if len(c.body) != maxBodyBytes+1 {
+			t.Fatalf("body is %d bytes, want %d", len(c.body), maxBodyBytes+1)
+		}
+		rec := post(t, s, c.path, c.contentType, c.body)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s (%s): status %d, want 413; body: %.200s", c.path, c.contentType, rec.Code, rec.Body)
+		}
+	}
+	if after := export(); after != before {
+		t.Errorf("an oversized update changed the store:\n%s", after)
+	}
+	// At the cap exactly, the same request goes through.
+	if rec := post(t, s, "/update", "application/sparql-update", update[:maxBodyBytes]); rec.Code != http.StatusOK {
+		t.Errorf("a body at the cap: status %d; body: %.200s", rec.Code, rec.Body)
+	}
+}

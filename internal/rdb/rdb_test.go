@@ -3,6 +3,7 @@ package rdb
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -667,4 +668,21 @@ func BenchmarkLookupPK(b *testing.B) {
 		}
 		return nil
 	})
+}
+
+// TestTupleKeyFormat pins the tuple-key bytes every index, KeyOf and
+// AppendKey share: the append-style encoder must reproduce the key
+// format byte for byte, -0.0 normalization and NULL tags included.
+func TestTupleKeyFormat(t *testing.T) {
+	tuple := []Value{Null, Int(-42), Float(math.Copysign(0, -1)), Float(2.5), String_("a\x00b"), Bool(true), Bool(false), String_("")}
+	const want = "n\x00i-42\x00f0p-1074\x00f5629499534213120p-51\x00sa\x00b\x00t\x00b\x00s"
+	if got := KeyOf(tuple); got != want {
+		t.Errorf("KeyOf = %q, want %q", got, want)
+	}
+	if got := encodeKey(tuple); got != want {
+		t.Errorf("encodeKey = %q, want %q", got, want)
+	}
+	if got := string(AppendKey([]byte("prefix"), tuple)); got != "prefix"+want {
+		t.Errorf("AppendKey = %q, want the key after the prefix", got)
+	}
 }

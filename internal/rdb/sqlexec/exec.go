@@ -107,7 +107,9 @@ func Exec(tx *rdb.Tx, stmt sqlparser.Statement) (Result, error) {
 // immutable) for the transaction's lifetime: a cursor held open
 // across concurrent writers is safe and sees a single consistent
 // version. Row slices are owned by the callee only during the row
-// call; copy them to retain.
+// call: the streaming path reuses one row slice for every row, so its
+// contents are overwritten by the next row — copy the values to
+// retain them.
 func SelectFunc(tx *rdb.Tx, st sqlparser.Select, head func(cols []string) error, row func(vals []rdb.Value) (bool, error)) error {
 	p, err := planSelect(tx, st)
 	if err != nil {
@@ -258,11 +260,21 @@ func execUpdate(tx *rdb.Tx, st sqlparser.Update) (Result, error) {
 		set map[string]rdb.Value
 	}
 	var updates []pending
+	metas := singleMeta(st.Table, schema)
+	var where evalFn
+	if st.Where != nil {
+		where = bind(st.Where, metas)
+	}
+	assign := make([]evalFn, len(st.Set))
+	for i, a := range st.Set {
+		assign[i] = bind(a.Value, metas)
+	}
 	scanErr := error(nil)
+	tuple := make([][]rdb.Value, 1)
 	tx.Scan(st.Table, func(id int64, row []rdb.Value) bool {
-		env := singleEnv(st.Table, schema, row)
-		if st.Where != nil {
-			v, err := evalExpr(env, st.Where)
+		tuple[0] = row
+		if where != nil {
+			v, err := where(tuple)
 			if err != nil {
 				scanErr = err
 				return false
@@ -272,8 +284,8 @@ func execUpdate(tx *rdb.Tx, st sqlparser.Update) (Result, error) {
 			}
 		}
 		set := make(map[string]rdb.Value, len(st.Set))
-		for _, a := range st.Set {
-			v, err := evalExpr(env, a.Value)
+		for i, a := range st.Set {
+			v, err := assign[i](tuple)
 			if err != nil {
 				scanErr = err
 				return false
@@ -300,10 +312,16 @@ func execDelete(tx *rdb.Tx, st sqlparser.Delete) (Result, error) {
 		return Result{}, err
 	}
 	var ids []int64
+	var where evalFn
+	if st.Where != nil {
+		where = bind(st.Where, singleMeta(st.Table, schema))
+	}
 	scanErr := error(nil)
+	tuple := make([][]rdb.Value, 1)
 	tx.Scan(st.Table, func(id int64, row []rdb.Value) bool {
-		if st.Where != nil {
-			v, err := evalExpr(singleEnv(st.Table, schema, row), st.Where)
+		if where != nil {
+			tuple[0] = row
+			v, err := where(tuple)
 			if err != nil {
 				scanErr = err
 				return false

@@ -11,240 +11,6 @@ import (
 	"ontoaccess/internal/rdb/sqlparser"
 )
 
-// env is the row environment for expression evaluation: one entry per
-// table in FROM/JOIN order.
-type env struct {
-	tables []envTable
-}
-
-type envTable struct {
-	name   string // effective name (alias if given), lower-cased
-	schema *rdb.TableSchema
-	row    []rdb.Value
-}
-
-func singleEnv(name string, schema *rdb.TableSchema, row []rdb.Value) *env {
-	return &env{tables: []envTable{{name: strings.ToLower(name), schema: schema, row: row}}}
-}
-
-// resolve finds the value of a column reference, enforcing uniqueness
-// for unqualified names across joined tables.
-func (e *env) resolve(ref sqlparser.ColRef) (rdb.Value, error) {
-	if ref.Table != "" {
-		want := strings.ToLower(ref.Table)
-		for _, t := range e.tables {
-			if t.name == want {
-				ci := t.schema.ColumnIndex(ref.Column)
-				if ci < 0 {
-					return rdb.Null, &rdb.TableError{Table: ref.Table, Column: ref.Column}
-				}
-				return t.row[ci], nil
-			}
-		}
-		return rdb.Null, fmt.Errorf("sqlexec: unknown table or alias %q", ref.Table)
-	}
-	found := -1
-	var val rdb.Value
-	for _, t := range e.tables {
-		if ci := t.schema.ColumnIndex(ref.Column); ci >= 0 {
-			if found >= 0 {
-				return rdb.Null, fmt.Errorf("sqlexec: ambiguous column %q", ref.Column)
-			}
-			found = 1
-			val = t.row[ci]
-		}
-	}
-	if found < 0 {
-		return rdb.Null, fmt.Errorf("sqlexec: unknown column %q", ref.Column)
-	}
-	return val, nil
-}
-
-// evalExpr evaluates an expression with SQL three-valued logic:
-// comparisons involving NULL yield NULL, which WHERE treats as not
-// true.
-func evalExpr(e *env, expr sqlparser.Expr) (rdb.Value, error) {
-	switch x := expr.(type) {
-	case sqlparser.Lit:
-		return x.Value, nil
-	case sqlparser.ColRef:
-		return e.resolve(x)
-	case sqlparser.Neg:
-		v, err := evalExpr(e, x.Inner)
-		if err != nil || v.IsNull() {
-			return rdb.Null, err
-		}
-		switch v.Kind {
-		case rdb.KInt:
-			return rdb.Int(-v.I), nil
-		case rdb.KFloat:
-			return rdb.Float(-v.F), nil
-		}
-		return rdb.Null, fmt.Errorf("sqlexec: cannot negate %s", v.Kind)
-	case sqlparser.Not:
-		v, err := evalExpr(e, x.Inner)
-		if err != nil {
-			return rdb.Null, err
-		}
-		if v.IsNull() {
-			return rdb.Null, nil
-		}
-		if v.Kind != rdb.KBool {
-			return rdb.Null, fmt.Errorf("sqlexec: NOT applied to %s", v.Kind)
-		}
-		return rdb.Bool(!v.B), nil
-	case sqlparser.IsNull:
-		v, err := evalExpr(e, x.Inner)
-		if err != nil {
-			return rdb.Null, err
-		}
-		res := v.IsNull()
-		if x.Negate {
-			res = !res
-		}
-		return rdb.Bool(res), nil
-	case sqlparser.InList:
-		v, err := evalExpr(e, x.Inner)
-		if err != nil {
-			return rdb.Null, err
-		}
-		if v.IsNull() {
-			return rdb.Null, nil
-		}
-		found := false
-		for _, item := range x.Values {
-			if rdb.Equal(v, item) {
-				found = true
-				break
-			}
-		}
-		if x.Negate {
-			found = !found
-		}
-		return rdb.Bool(found), nil
-	case sqlparser.Binary:
-		return evalBinary(e, x)
-	default:
-		return rdb.Null, fmt.Errorf("sqlexec: unsupported expression %T", expr)
-	}
-}
-
-func evalBinary(e *env, x sqlparser.Binary) (rdb.Value, error) {
-	// AND/OR implement SQL three-valued logic with short-circuit
-	// behaviour consistent with it.
-	if x.Op == sqlparser.OpAnd || x.Op == sqlparser.OpOr {
-		l, err := evalExpr(e, x.Left)
-		if err != nil {
-			return rdb.Null, err
-		}
-		r, err := evalExpr(e, x.Right)
-		if err != nil {
-			return rdb.Null, err
-		}
-		lb, lok := boolOf(l)
-		rb, rok := boolOf(r)
-		if x.Op == sqlparser.OpAnd {
-			switch {
-			case lok && !lb, rok && !rb:
-				return rdb.Bool(false), nil
-			case lok && rok:
-				return rdb.Bool(true), nil
-			default:
-				return rdb.Null, nil
-			}
-		}
-		switch {
-		case lok && lb, rok && rb:
-			return rdb.Bool(true), nil
-		case lok && rok:
-			return rdb.Bool(false), nil
-		default:
-			return rdb.Null, nil
-		}
-	}
-
-	l, err := evalExpr(e, x.Left)
-	if err != nil {
-		return rdb.Null, err
-	}
-	r, err := evalExpr(e, x.Right)
-	if err != nil {
-		return rdb.Null, err
-	}
-	if l.IsNull() || r.IsNull() {
-		return rdb.Null, nil // NULL propagates through comparisons and arithmetic
-	}
-	switch x.Op {
-	case sqlparser.OpEq, sqlparser.OpNe, sqlparser.OpLt, sqlparser.OpLe, sqlparser.OpGt, sqlparser.OpGe:
-		c, err := rdb.Compare(l, r)
-		if err != nil {
-			return rdb.Null, err
-		}
-		var res bool
-		switch x.Op {
-		case sqlparser.OpEq:
-			res = c == 0
-		case sqlparser.OpNe:
-			res = c != 0
-		case sqlparser.OpLt:
-			res = c < 0
-		case sqlparser.OpLe:
-			res = c <= 0
-		case sqlparser.OpGt:
-			res = c > 0
-		case sqlparser.OpGe:
-			res = c >= 0
-		}
-		return rdb.Bool(res), nil
-	case sqlparser.OpLike:
-		if l.Kind != rdb.KString || r.Kind != rdb.KString {
-			return rdb.Null, fmt.Errorf("sqlexec: LIKE requires strings")
-		}
-		return rdb.Bool(sqlparser.LikeToMatcher(r.S)(l.S)), nil
-	case sqlparser.OpAdd, sqlparser.OpSub, sqlparser.OpMul, sqlparser.OpDiv:
-		lf, err := l.AsFloat()
-		if err != nil {
-			return rdb.Null, err
-		}
-		rf, err := r.AsFloat()
-		if err != nil {
-			return rdb.Null, err
-		}
-		var v float64
-		switch x.Op {
-		case sqlparser.OpAdd:
-			v = lf + rf
-		case sqlparser.OpSub:
-			v = lf - rf
-		case sqlparser.OpMul:
-			v = lf * rf
-		case sqlparser.OpDiv:
-			if rf == 0 {
-				return rdb.Null, fmt.Errorf("sqlexec: division by zero")
-			}
-			v = lf / rf
-		}
-		// Integer operands keep integer typing only when the float64
-		// result converts back exactly — on overflow the conversion is
-		// implementation-defined, and the SPARQL evaluator's identical
-		// guard promotes to double there, so the engines stay aligned.
-		if l.Kind == rdb.KInt && r.Kind == rdb.KInt && x.Op != sqlparser.OpDiv && v == float64(int64(v)) {
-			return rdb.Int(int64(v)), nil
-		}
-		return rdb.Float(v), nil
-	}
-	return rdb.Null, fmt.Errorf("sqlexec: unsupported operator %d", x.Op)
-}
-
-func boolOf(v rdb.Value) (bool, bool) {
-	if v.Kind == rdb.KBool {
-		return v.B, true
-	}
-	return false, false
-}
-
-func isTrue(v rdb.Value) bool { return v.Kind == rdb.KBool && v.B }
-
 // ---- streaming executor ---------------------------------------------
 //
 // execSelect plans and runs a SELECT as a streaming pipeline of scans
@@ -337,6 +103,17 @@ func isTrue(v rdb.Value) bool { return v.Kind == rdb.KBool && v.B }
 // streaming pass at the emit point (groups in first-appearance
 // order), in both the pipeline and the naive baseline — the two
 // share the aggregator, so results and errors agree by construction.
+//
+// Binding. Each execution binds every expression it evaluates per row
+// once, before the first row (bind.go): a column reference becomes a
+// direct read of its (table, column) slot in the joined row tuple,
+// resolved against the tables visible where it runs — a step's prefix
+// environment in textual placement. A reference that cannot resolve
+// stays unbound and raises its resolution error on each evaluation
+// that reaches it, so binding changes no error and no row. The output
+// stage allocates nothing per row: the cursor fills one reused row
+// buffer, and DISTINCT and GROUP BY probe their maps with a reused
+// tuple-key encoding (rdb.AppendKey), allocating only for a new key.
 
 type accessKind int
 
@@ -377,12 +154,6 @@ type selStep struct {
 	// (WHERE semantics) and preds stay empty.
 	preds    []sqlparser.Expr
 	residual []sqlparser.Expr
-}
-
-type tableMeta struct {
-	eff    string // effective name as written
-	lower  string
-	schema *rdb.TableSchema
 }
 
 type selPlan struct {
@@ -460,38 +231,21 @@ func conjunctsOf(e sqlparser.Expr, out []sqlparser.Expr) []sqlparser.Expr {
 // qualifyExpr rewrites every column reference to its qualified form
 // and reports the set of tables the expression reads. ok is false
 // when a reference is ambiguous or unknown; such conjuncts keep their
-// original form and are evaluated late, where evalExpr reproduces the
-// exact resolution error.
+// original form and are evaluated late, where the unbound reference
+// raises its exact resolution error.
 func qualifyExpr(e sqlparser.Expr, metas []tableMeta) (sqlparser.Expr, uint64, bool) {
 	switch x := e.(type) {
 	case sqlparser.Lit:
 		return x, 0, true
 	case sqlparser.ColRef:
-		if x.Table != "" {
-			want := strings.ToLower(x.Table)
-			for i := range metas {
-				if metas[i].lower == want {
-					if metas[i].schema.ColumnIndex(x.Column) < 0 {
-						return x, 0, false
-					}
-					return x, 1 << uint(i), true
-				}
-			}
+		ti, _, err := resolveRef(x, metas)
+		if err != nil {
 			return x, 0, false
 		}
-		found := -1
-		for i := range metas {
-			if metas[i].schema.ColumnIndex(x.Column) >= 0 {
-				if found >= 0 {
-					return x, 0, false
-				}
-				found = i
-			}
+		if x.Table == "" {
+			x.Table = metas[ti].eff
 		}
-		if found < 0 {
-			return x, 0, false
-		}
-		return sqlparser.ColRef{Table: metas[found].eff, Column: x.Column}, 1 << uint(found), true
+		return x, 1 << uint(ti), true
 	case sqlparser.Neg:
 		in, m, ok := qualifyExpr(x.Inner, metas)
 		return sqlparser.Neg{Inner: in}, m, ok
@@ -520,7 +274,7 @@ func qualifyExpr(e sqlparser.Expr, metas []tableMeta) (sqlparser.Expr, uint64, b
 func TypeClass(t rdb.ColType) int { return typeClass(t) }
 
 // typeClass groups column types by comparison semantics; equality
-// across classes is a type error in evalExpr, so index and hash paths
+// across classes is a type error at evaluation, so index and hash paths
 // only engage within one class.
 func typeClass(t rdb.ColType) int {
 	switch t {
@@ -629,47 +383,24 @@ type conjunct struct {
 // raise errors.
 const classNull = -1
 
-// colRefClass resolves a column reference to its comparison class,
-// mirroring the evaluator's resolution rules (qualified lookup, or a
-// unique unqualified match). ok is false for unknown or ambiguous
-// references — which error at evaluation time.
+// colRefClass resolves a column reference to its comparison class.
+// ok is false for unknown or ambiguous references — which error at
+// evaluation time.
 func colRefClass(cr sqlparser.ColRef, metas []tableMeta) (int, bool) {
-	if cr.Table != "" {
-		want := strings.ToLower(cr.Table)
-		for i := range metas {
-			if metas[i].lower == want {
-				ci := metas[i].schema.ColumnIndex(cr.Column)
-				if ci < 0 {
-					return 0, false
-				}
-				return typeClass(metas[i].schema.Columns[ci].Type), true
-			}
-		}
+	ti, ci, err := resolveRef(cr, metas)
+	if err != nil {
 		return 0, false
 	}
-	found := -1
-	for i := range metas {
-		if metas[i].schema.ColumnIndex(cr.Column) >= 0 {
-			if found >= 0 {
-				return 0, false
-			}
-			found = i
-		}
-	}
-	if found < 0 {
-		return 0, false
-	}
-	ci := metas[found].schema.ColumnIndex(cr.Column)
-	return typeClass(metas[found].schema.Columns[ci].Type), true
+	return typeClass(metas[ti].schema.Columns[ci].Type), true
 }
 
 // analyzeExpr classifies an expression by its result class (classNull,
 // 0 unknown, or a typeClass) and whether evaluating it can raise an
 // error for *any* row, given the schemas. The analysis is
 // conservative: fallible means "might error", infallible is a proof
-// that evalExpr returns (value, nil) for every possible row, which is
-// what licenses predicate pushdown and early termination without
-// changing which errors the statement surfaces.
+// that evaluating it returns (value, nil) for every possible row,
+// which is what licenses predicate pushdown and early termination
+// without changing which errors the statement surfaces.
 func analyzeExpr(e sqlparser.Expr, metas []tableMeta) (class int, fallible bool) {
 	switch x := e.(type) {
 	case sqlparser.Lit:
@@ -765,15 +496,14 @@ func planSelectMode(tx *rdb.Tx, st sqlparser.Select, forceTextual bool) (*selPla
 	for _, j := range st.Joins {
 		p.refs = append(p.refs, j.Ref)
 	}
+	metas, err := metasOf(tx, p.refs)
+	if err != nil {
+		return nil, err
+	}
+	p.metas = metas
 	p.schemas = make([]*rdb.TableSchema, len(p.refs))
-	p.metas = make([]tableMeta, len(p.refs))
-	for i, r := range p.refs {
-		s, err := tx.Schema(r.Table)
-		if err != nil {
-			return nil, err
-		}
-		p.schemas[i] = s
-		p.metas[i] = tableMeta{eff: r.EffectiveName(), lower: strings.ToLower(r.EffectiveName()), schema: s}
+	for i := range metas {
+		p.schemas[i] = metas[i].schema
 	}
 	if len(st.Items) == 1 && st.Items[0].Agg == sqlparser.AggCount && st.Items[0].Expr == nil &&
 		len(st.GroupBy) == 0 && len(st.Having) == 0 {
@@ -1242,14 +972,15 @@ func (p *selPlan) equiJoinFor(ji int, cs []conjunct, placed uint64) (int, int, b
 	return -1, -1, false
 }
 
+// locOf resolves a qualified column reference of a resolvable
+// conjunct to its (table, column) position; -1, -1 if it does not
+// resolve.
 func (p *selPlan) locOf(cr sqlparser.ColRef) (int, int) {
-	want := strings.ToLower(cr.Table)
-	for i := range p.metas {
-		if p.metas[i].lower == want {
-			return i, p.metas[i].schema.ColumnIndex(cr.Column)
-		}
+	ti, ci, err := resolveRef(cr, p.metas)
+	if err != nil {
+		return -1, -1
 	}
-	return -1, -1
+	return ti, ci
 }
 
 // leftLocOf extracts the outer side of a used equi-join conjunct.
@@ -1272,47 +1003,51 @@ type idRow struct {
 	row []rdb.Value
 }
 
-// collRow is one fully joined row collected under a reordered plan:
-// per-table internal row ids in textual table order plus the row
-// snapshots, replayed through emitRow after the id-tuple sort.
-type collRow struct {
-	ids  []int64
-	rows [][]rdb.Value
-}
-
 // selExec is the runtime state of one execution.
 type selExec struct {
-	p    *selPlan
-	tx   *rdb.Tx
-	full *env // all tables in original order; rows filled as placed
-	// stepEnvs[i] is the environment visible at step i: a prefix of
-	// full in textual mode, full otherwise (safe because every
-	// early-evaluated conjunct is statically qualified).
-	stepEnvs []*env
-	hashes   []map[string][]idRow // per step, built lazily
+	p  *selPlan
+	tx *rdb.Tx
+	// cur is the joined row tuple every bound expression reads: cur[ti]
+	// is the row currently placed for table ti (original order).
+	cur [][]rdb.Value
+	// bound holds each step's conjuncts bound against the environment
+	// visible at that step: a prefix of the tables in textual
+	// placement, all of them otherwise (safe because every
+	// early-evaluated conjunct is statically qualified). where is the
+	// deferred WHERE, bound against all tables.
+	bound  []boundStep
+	where  evalFn
+	hashes []map[string][]idRow // per step, built lazily
 	// ids[ti] is the internal id of the row currently bound for table
 	// ti; nullRows[ti] is the all-NULL tuple a left join extends with.
 	ids      []int64
 	nullRows [][]rdb.Value
 	// collect buffers joined rows instead of emitting (reordered
 	// plans): emission happens in replayed baseline order afterwards.
-	collect   bool
-	collected []collRow
+	// Row k of the collection is its per-table internal ids
+	// collIDs[k*n:(k+1)*n] (textual table order) and its row tuple
+	// collRows[k*n:(k+1)*n], n tables — two flat buffers, so
+	// collecting allocates per buffer growth, not per row.
+	collect  bool
+	collIDs  []int64
+	collRows [][]rdb.Value
 
-	project func(*env) ([]rdb.Value, error)
-	cols    []string
+	proj *projection
+	cols []string
 
 	// streaming collection
-	rows    [][]rdb.Value
-	seen    map[string]bool // DISTINCT
-	target  int             // stop after this many rows (offset+limit); -1 = unbounded
-	count   int             // COUNT(*) mode
-	agg     *aggregator     // GROUP BY / aggregate mode
-	sorting bool
-	envs    []*env         // materialized for ORDER BY
-	topk    *topkCollector // bounded heap for ORDER BY + LIMIT
-	seq     int            // emission sequence, the heap's stability tiebreak
-	keyBuf  []rdb.Value    // reusable sort-key scratch: rejected rows stay allocation-free
+	rows     [][]rdb.Value
+	rowBuf   []rdb.Value         // the streamed output row, reused for every delivery
+	seen     map[string]struct{} // DISTINCT
+	keyBytes []byte              // reused DISTINCT key encoding: only new keys allocate
+	target   int                 // stop after this many rows (offset+limit); -1 = unbounded
+	count    int                 // COUNT(*) mode
+	agg      *aggregator         // GROUP BY / aggregate mode
+	sortKeys []sortKey           // bound ORDER BY keys
+	tuples   [][][]rdb.Value     // materialized for ORDER BY
+	topk     *topkCollector      // bounded heap for ORDER BY + LIMIT
+	seq      int                 // emission sequence, the heap's stability tiebreak
+	keyBuf   []rdb.Value         // reusable sort-key scratch: rejected rows stay allocation-free
 
 	// Streaming delivery (runStream): out receives each in-window row
 	// the moment the pipeline produces it instead of appending to rows.
@@ -1326,6 +1061,11 @@ type selExec struct {
 	emitted int
 }
 
+// boundStep is one step's conjuncts, bound for execution.
+type boundStep struct {
+	on, preds, residual []evalFn
+}
+
 func (p *selPlan) run(tx *rdb.Tx) (*ResultSet, error) {
 	if p.naive {
 		// A fallible ON conjunct: join-phase errors depend on the
@@ -1333,10 +1073,7 @@ func (p *selPlan) run(tx *rdb.Tx) (*ResultSet, error) {
 		// baseline reproduces exactly.
 		return SelectNaive(tx, p.st)
 	}
-	x, err := p.prepare(tx)
-	if err != nil {
-		return nil, err
-	}
+	x := p.prepare(tx)
 	if err := x.drive(); err != nil {
 		return nil, err
 	}
@@ -1347,13 +1084,14 @@ func (p *selPlan) run(tx *rdb.Tx) (*ResultSet, error) {
 // column names once, then row receives each result row in order. The
 // plain unordered path — DISTINCT, deferred WHERE and reordered plans
 // included — delivers each in-window row the moment the pipeline
-// produces it; paths that must see every row before the first output
-// one (ORDER BY, aggregation, the naive error-parity baseline) run
-// buffered and replay the materialized result. Either way the rows,
-// their order and any error are byte-identical to run; row returning
-// false cancels the remainder of the stream without error. On the
-// buffered paths an execution error surfaces before head is called;
-// on the streaming path it can surface mid-stream.
+// produces it, in one row buffer reused for every row; paths that
+// must see every row before the first output one (ORDER BY,
+// aggregation, the naive error-parity baseline) run buffered and
+// replay the materialized result. Either way the rows, their order
+// and any error are byte-identical to run; row returning false
+// cancels the remainder of the stream without error. On the buffered
+// paths an execution error surfaces before head is called; on the
+// streaming path it can surface mid-stream.
 func (p *selPlan) runStream(tx *rdb.Tx, head func(cols []string) error, row func(vals []rdb.Value) (bool, error)) error {
 	if p.naive || p.countAlias != "" || p.agg != nil || len(p.st.OrderBy) > 0 {
 		rs, err := p.run(tx)
@@ -1371,11 +1109,9 @@ func (p *selPlan) runStream(tx *rdb.Tx, head func(cols []string) error, row func
 		}
 		return nil
 	}
-	x, err := p.prepare(tx)
-	if err != nil {
-		return err
-	}
+	x := p.prepare(tx)
 	x.out = row
+	x.rowBuf = make([]rdb.Value, len(x.cols))
 	if p.st.Offset > 0 {
 		x.skip = p.st.Offset
 	}
@@ -1386,22 +1122,30 @@ func (p *selPlan) runStream(tx *rdb.Tx, head func(cols []string) error, row func
 	return x.drive()
 }
 
-// prepare builds the runtime state of one execution: environments,
-// projection, and the output-stage mode (count, aggregate, top-K,
-// sort materialization or direct emission with a LIMIT target).
-func (p *selPlan) prepare(tx *rdb.Tx) (*selExec, error) {
+// prepare builds the runtime state of one execution: it binds every
+// expression the pipeline evaluates per row — step conjuncts, the
+// deferred WHERE, the projection, sort keys, GROUP BY keys and
+// aggregate arguments — against the environment it runs in, and
+// picks the output-stage mode (count, aggregate, top-K, sort
+// materialization or direct emission with a LIMIT target).
+func (p *selPlan) prepare(tx *rdb.Tx) *selExec {
 	x := &selExec{p: p, tx: tx, target: -1}
-	x.full = &env{tables: make([]envTable, len(p.refs))}
-	for i := range p.refs {
-		x.full.tables[i] = envTable{name: p.metas[i].lower, schema: p.schemas[i]}
-	}
-	x.stepEnvs = make([]*env, len(p.steps))
+	x.cur = make([][]rdb.Value, len(p.refs))
+	x.bound = make([]boundStep, len(p.steps))
 	for i := range p.steps {
+		visible := p.metas
 		if p.textual {
-			x.stepEnvs[i] = &env{tables: x.full.tables[:i+1]}
-		} else {
-			x.stepEnvs[i] = x.full
+			visible = p.metas[:i+1]
 		}
+		s := &p.steps[i]
+		x.bound[i] = boundStep{
+			on:       bindAll(s.on, visible),
+			preds:    bindAll(s.preds, visible),
+			residual: bindAll(s.residual, visible),
+		}
+	}
+	if p.deferredWhere {
+		x.where = bind(p.st.Where, p.metas)
 	}
 	x.hashes = make([]map[string][]idRow, len(p.steps))
 	x.ids = make([]int64, len(p.refs))
@@ -1418,23 +1162,20 @@ func (p *selPlan) prepare(tx *rdb.Tx) (*selExec, error) {
 	case p.countAlias != "":
 	case p.agg != nil:
 		x.cols = p.agg.cols
-		x.agg = newAggregator(p.agg)
+		x.agg = newAggregator(p.agg, p.metas)
 	default:
-		cols, project, err := buildProjection(st, p.schemas, p.refs)
-		if err != nil {
-			return nil, err
-		}
-		x.cols, x.project = cols, project
-		x.sorting = len(st.OrderBy) > 0
+		x.proj = newProjection(st, p.metas)
+		x.cols = x.proj.cols
+		x.sortKeys = bindOrder(st.OrderBy, p.metas)
 		if st.Distinct {
-			x.seen = map[string]bool{}
+			x.seen = map[string]struct{}{}
 		}
 		off := st.Offset
 		if off < 0 {
 			off = 0
 		}
 		switch {
-		case x.sorting && st.Limit >= 0 && !st.Distinct && !p.keysFallible && !p.projFallible &&
+		case len(st.OrderBy) > 0 && st.Limit >= 0 && !st.Distinct && !p.keysFallible && !p.projFallible &&
 			off+st.Limit >= st.Limit: // offset+limit must not overflow to a bogus capacity
 			// Top-K: only the first offset+limit rows of the sorted
 			// output survive, so a bounded heap replaces the full
@@ -1442,14 +1183,13 @@ func (p *selPlan) prepare(tx *rdb.Tx) (*selExec, error) {
 			// projection can need more than K sorted rows), as are
 			// fallible keys/projections (the baseline evaluates them on
 			// every row).
-			x.topk = &topkCollector{keys: st.OrderBy, cap: off + st.Limit}
+			x.topk = &topkCollector{keys: x.sortKeys, cap: off + st.Limit}
 			x.keyBuf = make([]rdb.Value, len(st.OrderBy))
-		case !x.sorting && st.Limit >= 0 && !p.deferredWhere && !p.projFallible:
+		case len(st.OrderBy) == 0 && st.Limit >= 0 && !p.deferredWhere && !p.projFallible:
 			x.target = off + st.Limit
 		}
 	}
-
-	return x, nil
+	return x
 }
 
 // drive runs the join pipeline to completion: every produced row goes
@@ -1457,7 +1197,7 @@ func (p *selPlan) prepare(tx *rdb.Tx) (*selExec, error) {
 // delivery — buffered append or the streaming out callback).
 func (x *selExec) drive() error {
 	p := x.p
-	runPipeline := x.target != 0 || x.sorting || p.countAlias != "" || p.agg != nil
+	runPipeline := x.target != 0 || len(x.sortKeys) > 0 || p.countAlias != "" || p.agg != nil
 	if x.topk != nil && x.topk.cap == 0 && !p.deferredWhere {
 		// ORDER BY + LIMIT 0 with nothing fallible: the result is
 		// provably empty and no error can surface, so skip the scan
@@ -1477,19 +1217,22 @@ func (x *selExec) drive() error {
 		// path visits ascending internal ids — then run each row
 		// through the normal emission logic (projection, DISTINCT,
 		// top-K, LIMIT target).
-		sort.Slice(x.collected, func(i, j int) bool {
-			a, b := x.collected[i], x.collected[j]
-			for t := range a.ids {
-				if a.ids[t] != b.ids[t] {
-					return a.ids[t] < b.ids[t]
+		n := len(x.cur)
+		order := make([]int, len(x.collIDs)/n)
+		for k := range order {
+			order[k] = k * n
+		}
+		sort.Slice(order, func(i, j int) bool {
+			a, b := x.collIDs[order[i]:order[i]+n], x.collIDs[order[j]:order[j]+n]
+			for t := range a {
+				if a[t] != b[t] {
+					return a[t] < b[t]
 				}
 			}
 			return false
 		})
-		for _, cr := range x.collected {
-			for t := range cr.rows {
-				x.full.tables[t].row = cr.rows[t]
-			}
+		for _, off := range order {
+			copy(x.cur, x.collRows[off:off+n])
 			cont, err := x.emitRow()
 			if err != nil {
 				return err
@@ -1515,27 +1258,23 @@ func (x *selExec) finish() (*ResultSet, error) {
 	}
 	if x.topk != nil {
 		for _, r := range x.topk.finish() {
-			row, err := x.project(r.env)
-			if err != nil {
+			row := make([]rdb.Value, len(x.cols))
+			if err := x.proj.fill(row, r.tuple); err != nil {
 				return nil, err
 			}
 			x.rows = append(x.rows, row)
 		}
-	} else if x.sorting {
-		if err := sortEnvs(x.envs, st.OrderBy); err != nil {
+	} else if len(x.sortKeys) > 0 {
+		if err := sortTuples(x.tuples, x.sortKeys); err != nil {
 			return nil, err
 		}
-		for _, e := range x.envs {
-			row, err := x.project(e)
-			if err != nil {
+		for _, t := range x.tuples {
+			row := make([]rdb.Value, len(x.cols))
+			if err := x.proj.fill(row, t); err != nil {
 				return nil, err
 			}
-			if x.seen != nil {
-				k := rdb.KeyOf(row)
-				if x.seen[k] {
-					continue
-				}
-				x.seen[k] = true
+			if x.seen != nil && !x.firstSeen(row) {
+				continue
 			}
 			x.rows = append(x.rows, row)
 		}
@@ -1569,7 +1308,7 @@ func (x *selExec) step(si int) (bool, error) {
 	}
 	var iterErr error
 	visit := func(id int64, row []rdb.Value) bool {
-		x.full.tables[s.ti].row = row
+		x.cur[s.ti] = row
 		x.ids[s.ti] = id
 		ok, err := x.filterAndDescend(si)
 		if err != nil {
@@ -1581,7 +1320,7 @@ func (x *selExec) step(si int) (bool, error) {
 	cont := true
 	switch s.access {
 	case accessProbe:
-		left := x.full.tables[s.left.ti].row[s.left.ci]
+		left := x.cur[s.left.ti][s.left.ci]
 		key, ok := probeKey(left, s.probeType)
 		if !ok {
 			return true, nil // NULL or unrepresentable: no match, no error
@@ -1598,7 +1337,7 @@ func (x *selExec) step(si int) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		left := x.full.tables[s.left.ti].row[s.left.ci]
+		left := x.cur[s.left.ti][s.left.ci]
 		key, ok := hashKey(left, typeClass(s.probeType))
 		if !ok {
 			return true, nil
@@ -1638,25 +1377,23 @@ func (x *selExec) step(si int) (bool, error) {
 // run in filterAndDescend after the extension — WHERE semantics.
 func (x *selExec) stepLeft(si int) (bool, error) {
 	s := &x.p.steps[si]
+	on := x.bound[si].on
 	matched := false
 	cont := true
 	var iterErr error
 	tryRow := func(id int64, row []rdb.Value) bool {
-		x.full.tables[s.ti].row = row
+		x.cur[s.ti] = row
 		x.ids[s.ti] = id
-		e := x.stepEnvs[si]
-		for _, c := range s.on {
-			v, err := evalExpr(e, c)
-			if err != nil {
-				iterErr = err
-				return false
-			}
-			if !isTrue(v) {
-				return true // candidate fails ON: not a match, keep looking
-			}
+		ok, err := allTrue(on, x.cur)
+		if err != nil {
+			iterErr = err
+			return false
+		}
+		if !ok {
+			return true // candidate fails ON: not a match, keep looking
 		}
 		matched = true
-		ok, err := x.filterAndDescend(si)
+		ok, err = x.filterAndDescend(si)
 		if err != nil {
 			iterErr = err
 			return false
@@ -1666,7 +1403,7 @@ func (x *selExec) stepLeft(si int) (bool, error) {
 	}
 	switch s.access {
 	case accessProbe:
-		left := x.full.tables[s.left.ti].row[s.left.ci]
+		left := x.cur[s.left.ti][s.left.ci]
 		if key, ok := probeKey(left, s.probeType); ok {
 			if err := x.tx.MatchColumn(x.p.refs[s.ti].Table, s.probeName, key, tryRow); err != nil {
 				return false, err
@@ -1679,7 +1416,7 @@ func (x *selExec) stepLeft(si int) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		left := x.full.tables[s.left.ti].row[s.left.ci]
+		left := x.cur[s.left.ti][s.left.ci]
 		if key, ok := hashKey(left, typeClass(s.probeType)); ok {
 			for _, ir := range h[key] {
 				if !tryRow(ir.id, ir.row) {
@@ -1699,7 +1436,7 @@ func (x *selExec) stepLeft(si int) (bool, error) {
 		return false, nil
 	}
 	if !matched {
-		x.full.tables[s.ti].row = x.nullRows[s.ti]
+		x.cur[s.ti] = x.nullRows[s.ti]
 		x.ids[s.ti] = -1
 		return x.filterAndDescend(si)
 	}
@@ -1709,25 +1446,12 @@ func (x *selExec) stepLeft(si int) (bool, error) {
 // filterAndDescend applies the step's pushed predicates and residual
 // conditions to the current row, then recurses into the next step.
 func (x *selExec) filterAndDescend(si int) (bool, error) {
-	e := x.stepEnvs[si]
-	s := &x.p.steps[si]
-	for _, pred := range s.preds {
-		v, err := evalExpr(e, pred)
-		if err != nil {
-			return false, err
-		}
-		if !isTrue(v) {
-			return true, nil
-		}
+	b := &x.bound[si]
+	if ok, err := allTrue(b.preds, x.cur); err != nil || !ok {
+		return err == nil, err
 	}
-	for _, res := range s.residual {
-		v, err := evalExpr(e, res)
-		if err != nil {
-			return false, err
-		}
-		if !isTrue(v) {
-			return true, nil
-		}
+	if ok, err := allTrue(b.residual, x.cur); err != nil || !ok {
+		return err == nil, err
 	}
 	return x.step(si + 1)
 }
@@ -1740,8 +1464,10 @@ func (x *selExec) hashFor(si int) (map[string][]idRow, error) {
 		return x.hashes[si], nil
 	}
 	s := &x.p.steps[si]
+	preds := x.bound[si].preds
 	h := make(map[string][]idRow)
-	scratch := singleEnv(x.p.refs[s.ti].EffectiveName(), x.p.schemas[s.ti], nil)
+	// Pushed predicates read only their own table's slot.
+	scratch := make([][]rdb.Value, len(x.cur))
 	class := typeClass(s.probeType)
 	var buildErr error
 	err := x.tx.Scan(x.p.refs[s.ti].Table, func(id int64, row []rdb.Value) bool {
@@ -1749,18 +1475,15 @@ func (x *selExec) hashFor(si int) (map[string][]idRow, error) {
 		if !ok {
 			return true // NULL join keys match nothing
 		}
-		scratch.tables[0].row = row
-		for _, pred := range s.preds {
-			v, err := evalExpr(scratch, pred)
-			if err != nil {
-				buildErr = err
-				return false
-			}
-			if !isTrue(v) {
-				return true
-			}
+		scratch[s.ti] = row
+		ok, err := allTrue(preds, scratch)
+		if err != nil {
+			buildErr = err
+			return false
 		}
-		h[key] = append(h[key], idRow{id: id, row: row})
+		if ok {
+			h[key] = append(h[key], idRow{id: id, row: row})
+		}
 		return true
 	})
 	if err != nil {
@@ -1775,12 +1498,12 @@ func (x *selExec) hashFor(si int) (map[string][]idRow, error) {
 
 // emit handles one fully joined row.
 func (x *selExec) emit() (bool, error) {
-	if x.p.deferredWhere {
+	if x.where != nil {
 		// Deferred mode: evaluate the original WHERE expression on the
 		// complete row, exactly as the baseline does after
 		// materializing the joins — same errors, same first error,
 		// same three-valued filtering.
-		v, err := evalExpr(x.full, x.p.st.Where)
+		v, err := x.where(x.cur)
 		if err != nil {
 			return false, err
 		}
@@ -1793,12 +1516,8 @@ func (x *selExec) emit() (bool, error) {
 		// happens after the pipeline, in replayed baseline order. No
 		// early stop — the first target rows in placement order are
 		// not the first in baseline order.
-		ids := append([]int64(nil), x.ids...)
-		rows := make([][]rdb.Value, len(x.full.tables))
-		for t := range x.full.tables {
-			rows[t] = x.full.tables[t].row
-		}
-		x.collected = append(x.collected, collRow{ids: ids, rows: rows})
+		x.collIDs = append(x.collIDs, x.ids...)
+		x.collRows = append(x.collRows, x.cur...)
 		return true, nil
 	}
 	return x.emitRow()
@@ -1810,7 +1529,7 @@ func (x *selExec) emit() (bool, error) {
 // from the replay loop in reordered ones.
 func (x *selExec) emitRow() (bool, error) {
 	if x.agg != nil {
-		if err := x.agg.add(x.full); err != nil {
+		if err := x.agg.add(x.cur); err != nil {
 			return false, err
 		}
 		return true, nil
@@ -1820,44 +1539,53 @@ func (x *selExec) emitRow() (bool, error) {
 		return true, nil
 	}
 	if x.topk != nil {
-		for i, k := range x.topk.keys {
-			v, err := evalExpr(x.full, k.Expr)
+		for i, k := range x.sortKeys {
+			v, err := k.eval(x.cur)
 			if err != nil {
 				return false, err // unreachable: heap requires infallible keys
 			}
 			x.keyBuf[i] = v
 		}
 		// Admission is decided on the scratch keys alone; the key copy
-		// and environment snapshot happen only for rows the heap
-		// actually keeps — once it is full, the common case is
-		// rejection with zero allocations.
+		// and tuple snapshot happen only for rows the heap actually
+		// keeps — once it is full, the common case is rejection with
+		// zero allocations.
 		if x.topk.admits(x.keyBuf, x.seq) {
 			keys := append([]rdb.Value(nil), x.keyBuf...)
-			snap := make([]envTable, len(x.full.tables))
-			copy(snap, x.full.tables)
-			x.topk.add(topkRow{keys: keys, seq: x.seq, env: &env{tables: snap}})
+			x.topk.add(topkRow{keys: keys, seq: x.seq, tuple: append([][]rdb.Value(nil), x.cur...)})
 		}
 		x.seq++
 		return true, nil
 	}
-	if x.sorting {
-		snap := make([]envTable, len(x.full.tables))
-		copy(snap, x.full.tables)
-		x.envs = append(x.envs, &env{tables: snap})
+	if len(x.sortKeys) > 0 {
+		x.tuples = append(x.tuples, append([][]rdb.Value(nil), x.cur...))
 		return true, nil
 	}
-	row, err := x.project(x.full)
-	if err != nil {
+	// The streamed row reuses one buffer (the callee owns it only for
+	// the call); buffered rows are retained and get their own.
+	row := x.rowBuf
+	if x.out == nil {
+		row = make([]rdb.Value, len(x.cols))
+	}
+	if err := x.proj.fill(row, x.cur); err != nil {
 		return false, err
 	}
-	if x.seen != nil {
-		k := rdb.KeyOf(row)
-		if x.seen[k] {
-			return true, nil
-		}
-		x.seen[k] = true
+	if x.seen != nil && !x.firstSeen(row) {
+		return true, nil
 	}
 	return x.deliver(row)
+}
+
+// firstSeen reports whether a projected row is new to the DISTINCT
+// set, recording it if so. The lookup encodes into a reused buffer;
+// only a new key allocates.
+func (x *selExec) firstSeen(row []rdb.Value) bool {
+	x.keyBytes = rdb.AppendKey(x.keyBytes[:0], row)
+	if _, dup := x.seen[string(x.keyBytes)]; dup {
+		return false
+	}
+	x.seen[string(x.keyBytes)] = struct{}{}
+	return true
 }
 
 // deliver hands a projected in-order row to the output stage: the
@@ -2062,43 +1790,61 @@ type aggGroup struct {
 
 // aggregator folds rows into groups in one streaming pass, keeping
 // groups in first-appearance order — which is baseline row order,
-// since aggregation forces textual placement.
+// since aggregation forces textual placement. GROUP BY keys and
+// aggregate arguments are bound once, when the aggregator is built.
 type aggregator struct {
-	p      *aggPlan
-	order  []string
-	groups map[string]*aggGroup
+	p       *aggPlan
+	groupBy []evalFn
+	args    []evalFn // per item; nil for group pass-throughs and COUNT(*)
+	order   []*aggGroup
+	groups  map[string]*aggGroup
+	// keys and keyBytes are the current row's group key and its
+	// encoding, reused across rows: only a new group allocates.
+	keys     []rdb.Value
+	keyBytes []byte
 }
 
-func newAggregator(p *aggPlan) *aggregator {
-	return &aggregator{p: p, groups: map[string]*aggGroup{}}
+func newAggregator(p *aggPlan, metas []tableMeta) *aggregator {
+	a := &aggregator{
+		p:       p,
+		groupBy: bindAll(p.groupBy, metas),
+		args:    make([]evalFn, len(p.items)),
+		groups:  map[string]*aggGroup{},
+		keys:    make([]rdb.Value, len(p.groupBy)),
+	}
+	for i, it := range p.items {
+		if it.fn != sqlparser.AggNone && it.expr != nil {
+			a.args[i] = bind(it.expr, metas)
+		}
+	}
+	return a
 }
 
-func (a *aggregator) add(e *env) error {
-	keys := make([]rdb.Value, len(a.p.groupBy))
-	for i, g := range a.p.groupBy {
-		v, err := evalExpr(e, g)
+func (a *aggregator) add(tuple [][]rdb.Value) error {
+	for i, g := range a.groupBy {
+		v, err := g(tuple)
 		if err != nil {
 			return err
 		}
-		keys[i] = v
+		a.keys[i] = v
 	}
-	k := rdb.KeyOf(keys)
-	grp := a.groups[k]
+	a.keyBytes = rdb.AppendKey(a.keyBytes[:0], a.keys)
+	grp := a.groups[string(a.keyBytes)]
 	if grp == nil {
-		grp = &aggGroup{keys: keys, accs: make([]aggAcc, len(a.p.items))}
-		a.groups[k] = grp
-		a.order = append(a.order, k)
+		grp = &aggGroup{keys: append([]rdb.Value(nil), a.keys...), accs: make([]aggAcc, len(a.p.items))}
+		a.groups[string(a.keyBytes)] = grp
+		a.order = append(a.order, grp)
 	}
 	for i, it := range a.p.items {
-		if it.fn == sqlparser.AggNone {
+		arg := a.args[i]
+		if arg == nil {
+			if it.fn == sqlparser.AggCount {
+				grp.accs[i].count++ // COUNT(*) counts rows, NULLs included
+			}
 			continue
 		}
 		acc := &grp.accs[i]
-		if it.fn == sqlparser.AggCount && it.expr == nil {
-			acc.count++ // COUNT(*) counts rows, NULLs included
-			continue
-		}
-		v, err := evalExpr(e, it.expr)
+		v, err := arg(tuple)
 		if err != nil {
 			return err
 		}
@@ -2140,13 +1886,11 @@ func (a *aggregator) add(e *env) error {
 // truncated off the emitted rows.
 func (a *aggregator) finish() [][]rdb.Value {
 	if len(a.p.groupBy) == 0 && len(a.order) == 0 {
-		a.groups[""] = &aggGroup{accs: make([]aggAcc, len(a.p.items))}
-		a.order = append(a.order, "")
+		a.order = append(a.order, &aggGroup{accs: make([]aggAcc, len(a.p.items))})
 	}
 	rows := make([][]rdb.Value, 0, len(a.order))
 group:
-	for _, k := range a.order {
-		grp := a.groups[k]
+	for _, grp := range a.order {
 		row := make([]rdb.Value, len(a.p.items))
 		for i, it := range a.p.items {
 			acc := &grp.accs[i]
@@ -2233,13 +1977,27 @@ func havingLexHolds(l, r string, op sqlparser.BinOp) bool {
 
 // ---- bounded top-K for ORDER BY + LIMIT -----------------------------
 
+// sortKey is a bound ORDER BY key.
+type sortKey struct {
+	eval evalFn
+	desc bool
+}
+
+func bindOrder(keys []sqlparser.OrderKey, metas []tableMeta) []sortKey {
+	out := make([]sortKey, len(keys))
+	for i, k := range keys {
+		out[i] = sortKey{eval: bind(k.Expr, metas), desc: k.Desc}
+	}
+	return out
+}
+
 // topkRow is one candidate row: its evaluated sort keys, the emission
 // sequence number (the stable-sort tiebreak), and a snapshot of the
-// joined environment for projection.
+// joined row tuple for projection.
 type topkRow struct {
-	keys []rdb.Value
-	seq  int
-	env  *env
+	keys  []rdb.Value
+	seq   int
+	tuple [][]rdb.Value
 }
 
 // topkCollector keeps the first cap rows of the stable sort order in a
@@ -2248,7 +2006,7 @@ type topkRow struct {
 // the emission sequence, the comparison is a total order and the final
 // output is byte-identical to stably sorting everything and slicing.
 type topkCollector struct {
-	keys  []sqlparser.OrderKey
+	keys  []sortKey
 	cap   int
 	items []topkRow
 }
@@ -2259,7 +2017,7 @@ type topkCollector struct {
 func (h *topkCollector) cmp(a, b topkRow) int {
 	for i, k := range h.keys {
 		c := compareForSort(a.keys[i], b.keys[i])
-		if k.Desc {
+		if k.desc {
 			c = -c
 		}
 		if c != 0 {
@@ -2310,21 +2068,22 @@ func (h *topkCollector) finish() []topkRow {
 	return h.items
 }
 
-// sortEnvs orders materialized rows by the ORDER BY keys. The first
-// evaluation error wins — earlier versions let later comparisons
-// overwrite it, losing errors raised by all but the last failing key.
-func sortEnvs(envs []*env, keys []sqlparser.OrderKey) error {
+// sortTuples orders materialized rows by the ORDER BY keys,
+// evaluating them as the comparisons need them. The first evaluation
+// error wins — earlier versions let later comparisons overwrite it,
+// losing errors raised by all but the last failing key.
+func sortTuples(tuples [][][]rdb.Value, keys []sortKey) error {
 	var sortErr error
-	sort.SliceStable(envs, func(i, j int) bool {
+	sort.SliceStable(tuples, func(i, j int) bool {
 		for _, k := range keys {
-			a, err := evalExpr(envs[i], k.Expr)
+			a, err := k.eval(tuples[i])
 			if err != nil {
 				if sortErr == nil {
 					sortErr = err
 				}
 				return false
 			}
-			b, err := evalExpr(envs[j], k.Expr)
+			b, err := k.eval(tuples[j])
 			if err != nil {
 				if sortErr == nil {
 					sortErr = err
@@ -2333,7 +2092,7 @@ func sortEnvs(envs []*env, keys []sqlparser.OrderKey) error {
 			}
 			c := compareForSort(a, b)
 			if c != 0 {
-				if k.Desc {
+				if k.desc {
 					return c > 0
 				}
 				return c < 0
@@ -2358,21 +2117,15 @@ func SelectNaive(tx *rdb.Tx, st sqlparser.Select) (*ResultSet, error) {
 	for _, j := range st.Joins {
 		refs = append(refs, j.Ref)
 	}
-	schemas := make([]*rdb.TableSchema, len(refs))
-	for i, r := range refs {
-		s, err := tx.Schema(r.Table)
-		if err != nil {
-			return nil, err
-		}
-		schemas[i] = s
+	metas, err := metasOf(tx, refs)
+	if err != nil {
+		return nil, err
 	}
 
-	var envs []*env
+	var tuples [][][]rdb.Value
 	// Seed with the FROM table.
-	err := tx.Scan(st.From.Table, func(_ int64, row []rdb.Value) bool {
-		envs = append(envs, &env{tables: []envTable{{
-			name: strings.ToLower(st.From.EffectiveName()), schema: schemas[0], row: row,
-		}}})
+	err = tx.Scan(st.From.Table, func(_ int64, row []rdb.Value) bool {
+		tuples = append(tuples, [][]rdb.Value{row})
 		return true
 	})
 	if err != nil {
@@ -2386,16 +2139,15 @@ func SelectNaive(tx *rdb.Tx, st sqlparser.Select) (*ResultSet, error) {
 		}); err != nil {
 			return nil, err
 		}
-		name := strings.ToLower(j.Ref.EffectiveName())
-		nullRow := make([]rdb.Value, len(schemas[ji+1].Columns))
-		var next []*env
-		for _, base := range envs {
+		// The ON clause sees the tables joined so far.
+		on := bind(j.On, metas[:ji+2])
+		nullRow := make([]rdb.Value, len(metas[ji+1].schema.Columns))
+		var next [][][]rdb.Value
+		for _, base := range tuples {
 			matched := false
 			for _, row := range joinRows {
-				cand := &env{tables: append(append([]envTable{}, base.tables...), envTable{
-					name: name, schema: schemas[ji+1], row: row,
-				})}
-				v, err := evalExpr(cand, j.On)
+				cand := append(append([][]rdb.Value{}, base...), row)
+				v, err := on(cand)
 				if err != nil {
 					return nil, err
 				}
@@ -2407,26 +2159,25 @@ func SelectNaive(tx *rdb.Tx, st sqlparser.Select) (*ResultSet, error) {
 			if !matched && j.LeftOuter {
 				// LEFT OUTER JOIN: the unmatched outer row survives,
 				// NULL-extended.
-				next = append(next, &env{tables: append(append([]envTable{}, base.tables...), envTable{
-					name: name, schema: schemas[ji+1], row: nullRow,
-				})})
+				next = append(next, append(append([][]rdb.Value{}, base...), nullRow))
 			}
 		}
-		envs = next
+		tuples = next
 	}
 
 	if st.Where != nil {
-		var kept []*env
-		for _, e := range envs {
-			v, err := evalExpr(e, st.Where)
+		where := bind(st.Where, metas)
+		var kept [][][]rdb.Value
+		for _, t := range tuples {
+			v, err := where(t)
 			if err != nil {
 				return nil, err
 			}
 			if isTrue(v) {
-				kept = append(kept, e)
+				kept = append(kept, t)
 			}
 		}
-		envs = kept
+		tuples = kept
 	}
 
 	// Aggregation: lone COUNT(*) keeps the counting fast path, every
@@ -2435,14 +2186,14 @@ func SelectNaive(tx *rdb.Tx, st sqlparser.Select) (*ResultSet, error) {
 	// errors agree by construction.
 	if len(st.Items) == 1 && st.Items[0].Agg == sqlparser.AggCount && st.Items[0].Expr == nil &&
 		len(st.GroupBy) == 0 && len(st.Having) == 0 {
-		return &ResultSet{Columns: []string{st.Items[0].Alias}, Rows: [][]rdb.Value{{rdb.Int(int64(len(envs)))}}}, nil
+		return &ResultSet{Columns: []string{st.Items[0].Alias}, Rows: [][]rdb.Value{{rdb.Int(int64(len(tuples)))}}}, nil
 	}
 	if ap, err := newAggPlan(st); err != nil {
 		return nil, err
 	} else if ap != nil {
-		agg := newAggregator(ap)
-		for _, e := range envs {
-			if err := agg.add(e); err != nil {
+		agg := newAggregator(ap, metas)
+		for _, t := range tuples {
+			if err := agg.add(t); err != nil {
 				return nil, err
 			}
 		}
@@ -2451,20 +2202,17 @@ func SelectNaive(tx *rdb.Tx, st sqlparser.Select) (*ResultSet, error) {
 
 	// ORDER BY before projection so keys may use any column.
 	if len(st.OrderBy) > 0 {
-		if err := sortEnvs(envs, st.OrderBy); err != nil {
+		if err := sortTuples(tuples, bindOrder(st.OrderBy, metas)); err != nil {
 			return nil, err
 		}
 	}
 
 	// Projection.
-	cols, project, err := buildProjection(st, schemas, refs)
-	if err != nil {
-		return nil, err
-	}
-	rs := &ResultSet{Columns: cols}
-	for _, e := range envs {
-		row, err := project(e)
-		if err != nil {
+	proj := newProjection(st, metas)
+	rs := &ResultSet{Columns: proj.cols}
+	for _, t := range tuples {
+		row := make([]rdb.Value, len(proj.cols))
+		if err := proj.fill(row, t); err != nil {
 			return nil, err
 		}
 		rs.Rows = append(rs.Rows, row)
@@ -2495,6 +2243,20 @@ func SelectNaive(tx *rdb.Tx, st sqlparser.Select) (*ResultSet, error) {
 	return rs, nil
 }
 
+// metasOf looks up the schemas of a statement's tables, in FROM/JOIN
+// order, as the environment its expressions bind against.
+func metasOf(tx *rdb.Tx, refs []sqlparser.TableRef) ([]tableMeta, error) {
+	metas := make([]tableMeta, len(refs))
+	for i, r := range refs {
+		s, err := tx.Schema(r.Table)
+		if err != nil {
+			return nil, err
+		}
+		metas[i] = tableMeta{eff: r.EffectiveName(), lower: strings.ToLower(r.EffectiveName()), schema: s}
+	}
+	return metas, nil
+}
+
 // compareForSort orders values with NULLs first and falls back to a
 // stable cross-kind order when Compare fails.
 func compareForSort(a, b rdb.Value) int {
@@ -2512,56 +2274,56 @@ func compareForSort(a, b rdb.Value) int {
 	return strings.Compare(a.String(), b.String())
 }
 
-// buildProjection computes the output column names and a projector
-// function from the select items.
-func buildProjection(st sqlparser.Select, schemas []*rdb.TableSchema, refs []sqlparser.TableRef) ([]string, func(*env) ([]rdb.Value, error), error) {
-	multi := len(refs) > 1
-	var cols []string
-	type getter func(*env) (rdb.Value, error)
-	var getters []getter
+// projection is a bound SELECT list: the output column names and one
+// bound expression per output column.
+type projection struct {
+	cols  []string
+	items []evalFn
+}
 
+// newProjection binds the select items against the statement's
+// tables; * expands to every column, prefixed by its table's
+// effective name when the statement joins.
+func newProjection(st sqlparser.Select, metas []tableMeta) *projection {
+	pr := &projection{}
 	for _, item := range st.Items {
-		switch {
-		case item.Star:
-			for ti, s := range schemas {
+		if item.Star {
+			for ti := range metas {
 				prefix := ""
-				if multi {
-					prefix = strings.ToLower(refs[ti].EffectiveName()) + "."
+				if len(metas) > 1 {
+					prefix = metas[ti].lower + "."
 				}
-				for ci := range s.Columns {
-					cols = append(cols, prefix+s.Columns[ci].Name)
-					ti2, ci2 := ti, ci
-					getters = append(getters, func(e *env) (rdb.Value, error) {
-						return e.tables[ti2].row[ci2], nil
-					})
+				for ci, c := range metas[ti].schema.Columns {
+					ti, ci := ti, ci
+					pr.cols = append(pr.cols, prefix+c.Name)
+					pr.items = append(pr.items, func(t [][]rdb.Value) (rdb.Value, error) { return t[ti][ci], nil })
 				}
 			}
-		default:
-			name := item.Alias
-			if name == "" {
-				if cr, ok := item.Expr.(sqlparser.ColRef); ok {
-					name = cr.Column
-				} else {
-					name = fmt.Sprintf("expr%d", len(cols)+1)
-				}
-			}
-			cols = append(cols, name)
-			expr := item.Expr
-			getters = append(getters, func(e *env) (rdb.Value, error) {
-				return evalExpr(e, expr)
-			})
+			continue
 		}
-	}
-	project := func(e *env) ([]rdb.Value, error) {
-		row := make([]rdb.Value, len(getters))
-		for i, g := range getters {
-			v, err := g(e)
-			if err != nil {
-				return nil, err
+		name := item.Alias
+		if name == "" {
+			if cr, ok := item.Expr.(sqlparser.ColRef); ok {
+				name = cr.Column
+			} else {
+				name = fmt.Sprintf("expr%d", len(pr.cols)+1)
 			}
-			row[i] = v
 		}
-		return row, nil
+		pr.cols = append(pr.cols, name)
+		pr.items = append(pr.items, bind(item.Expr, metas))
 	}
-	return cols, project, nil
+	return pr
+}
+
+// fill evaluates the select list over a row tuple into dst, which has
+// one slot per output column; the first error wins.
+func (pr *projection) fill(dst []rdb.Value, tuple [][]rdb.Value) error {
+	for i, f := range pr.items {
+		v, err := f(tuple)
+		if err != nil {
+			return err
+		}
+		dst[i] = v
+	}
+	return nil
 }

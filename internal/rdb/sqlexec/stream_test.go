@@ -192,6 +192,95 @@ func TestStreamingErrorParity(t *testing.T) {
 			return nil
 		})
 	}
+
+	// Resolution errors by placement: a reference that cannot be bound
+	// (ambiguous across the join, unknown column, unknown alias, unknown
+	// qualified column) raises exactly this text from the pipeline, the
+	// naive executor and the cursor — and nothing when no row reaches
+	// it (the same statements over empty tables). The last entry binds
+	// in its join's prefix environment: "name" is team.name there, but
+	// would be ambiguous (team, publisher) in the full one.
+	const (
+		amb   = `sqlexec: ambiguous column "id"`
+		unk   = `sqlexec: unknown column "nosuch"`
+		alias = `sqlexec: unknown table or alias "x"`
+		qcol  = `rdb: no column "nosuch" in table "a"`
+	)
+	const join = ` FROM author a JOIN team t ON a.team = t.id`
+	pinned := []struct{ q, want string }{
+		// projection
+		{`SELECT id` + join, amb},
+		{`SELECT nosuch FROM author`, unk},
+		{`SELECT x.id FROM author`, alias},
+		{`SELECT a.nosuch` + join, qcol},
+		{`SELECT nosuch FROM author ORDER BY id LIMIT 1`, unk},
+		// deferred WHERE
+		{`SELECT a.id` + join + ` WHERE id = 1`, amb},
+		{`SELECT id FROM author WHERE id > 0 AND nosuch = 1`, unk},
+		{`SELECT id FROM author WHERE x.id = 1 LIMIT 1`, alias},
+		// ORDER BY: full sort, and the top-K shape (LIMIT)
+		{`SELECT a.id` + join + ` ORDER BY id`, amb},
+		{`SELECT a.id` + join + ` ORDER BY id LIMIT 2`, amb},
+		{`SELECT id FROM author ORDER BY nosuch`, unk},
+		{`SELECT id FROM author ORDER BY team, nosuch LIMIT 2`, unk},
+		{`SELECT id FROM author ORDER BY lastname, nosuch LIMIT 2`, ""}, // distinct first keys: never compared
+		{`SELECT id FROM author ORDER BY x.id`, alias},
+		{`SELECT id FROM author ORDER BY x.id LIMIT 1 OFFSET 1`, alias},
+		// GROUP BY keys
+		{`SELECT id, COUNT(*) AS n` + join + ` GROUP BY id`, amb},
+		{`SELECT nosuch, COUNT(*) AS n FROM author GROUP BY nosuch`, unk},
+		{`SELECT x.id, COUNT(*) AS n FROM author GROUP BY x.id`, alias},
+		// aggregate arguments
+		{`SELECT COUNT(id) AS n` + join, amb},
+		{`SELECT t.name, MAX(id) AS m` + join + ` GROUP BY t.name`, amb},
+		{`SELECT SUM(nosuch) AS s FROM author`, unk},
+		{`SELECT MIN(x.id) AS m FROM author`, alias},
+		// textual placement: binds in the prefix environment
+		{`SELECT t.id, a.id FROM team t JOIN author a ON name = 'Software Engineering' JOIN publisher p ON p.id = a.id`, ""},
+	}
+	empty := paperDB(t)
+	errText := func(err error) string {
+		if err == nil {
+			return ""
+		}
+		return err.Error()
+	}
+	for _, c := range pinned {
+		stmt, err := sqlparser.ParseStatement(c.q)
+		if err != nil {
+			t.Fatalf("%s: %v", c.q, err)
+		}
+		sel := stmt.(sqlparser.Select)
+		for _, d := range []*rdb.Database{db, empty} {
+			want, data := c.want, "seeded"
+			if d == empty {
+				want, data = "", "empty"
+			}
+			d.View(func(tx *rdb.Tx) error {
+				got, gerr := execSelect(tx, sel)
+				naive, werr := SelectNaive(tx, sel)
+				var streamed [][]rdb.Value
+				serr := SelectFunc(tx, sel, func([]string) error { return nil }, func(vals []rdb.Value) (bool, error) {
+					streamed = append(streamed, append([]rdb.Value(nil), vals...))
+					return true, nil
+				})
+				for name, err := range map[string]error{"streaming": gerr, "naive": werr, "cursor": serr} {
+					if errText(err) != want {
+						t.Errorf("%s (%s): %s error %q, want %q", c.q, data, name, errText(err), want)
+					}
+				}
+				if want == "" && gerr == nil && werr == nil && serr == nil {
+					if !reflect.DeepEqual(got.Rows, naive.Rows) || len(streamed) != len(got.Rows) {
+						t.Errorf("%s: rows diverge: %v vs %v vs %v", c.q, got.Rows, naive.Rows, streamed)
+					}
+					if d == db && len(got.Rows) == 0 {
+						t.Errorf("%s: matched nothing; seed data drifted", c.q)
+					}
+				}
+				return nil
+			})
+		}
+	}
 }
 
 // TestPushdownDeferredErrorParity is the regression test for the two
@@ -633,4 +722,65 @@ CREATE TABLE r (id INTEGER PRIMARY KEY, v DOUBLE);
 		}
 		return nil
 	})
+}
+
+// TestSelectFuncAllocsFlat pins the per-row allocation cost of the
+// cursor at zero: column references are bound once per execution, the
+// streamed row reuses one buffer, and GROUP BY probes its groups with
+// a reused key encoding — so a plain streamed projection and a GROUP
+// BY over a fixed number of groups allocate exactly as much over 4N
+// rows as over N.
+func TestSelectFuncAllocsFlat(t *testing.T) {
+	const n = 400
+	load := func(rows int) *rdb.Database {
+		db := paperDB(t)
+		var b strings.Builder
+		b.WriteString("INSERT INTO team (id, name, code) VALUES (1, 'T1', 'c1'), (2, 'T2', 'c2'), (3, 'T3', 'c3');")
+		b.WriteString("INSERT INTO author (id, email, lastname, team) VALUES (1, 'a1@example.org', 'L1', 1)")
+		for i := 2; i <= rows; i++ {
+			fmt.Fprintf(&b, ", (%d, 'a%d@example.org', 'L%d', %d)", i, i, i, i%3+1)
+		}
+		if _, err := Run(db, b.String()); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	small, large := load(n), load(4*n)
+	for _, q := range []string{
+		`SELECT id, email, lastname FROM author`,
+		`SELECT id, lastname FROM author WHERE id > 0 AND email LIKE 'a%'`,
+		`SELECT a.id, t.name FROM author a LEFT JOIN team t ON a.team = t.id`,
+		`SELECT team, COUNT(*) AS n, MAX(lastname) AS m FROM author GROUP BY team`,
+	} {
+		stmt, err := sqlparser.ParseStatement(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel := stmt.(sqlparser.Select)
+		allocs := func(db *rdb.Database) (float64, int) {
+			rows := 0
+			var avg float64
+			db.View(func(tx *rdb.Tx) error {
+				avg = testing.AllocsPerRun(20, func() {
+					rows = 0
+					if err := SelectFunc(tx, sel, func([]string) error { return nil }, func([]rdb.Value) (bool, error) {
+						rows++
+						return true, nil
+					}); err != nil {
+						t.Fatal(err)
+					}
+				})
+				return nil
+			})
+			return avg, rows
+		}
+		as, rs := allocs(small)
+		al, rl := allocs(large)
+		if rs == 0 || rl < rs {
+			t.Fatalf("%s: %d rows at N, %d at 4N", q, rs, rl)
+		}
+		if al != as {
+			t.Errorf("%s: %.1f allocs over %d rows but %.1f over %d — the cursor allocates per row", q, as, rs, al, rl)
+		}
+	}
 }

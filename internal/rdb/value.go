@@ -183,34 +183,38 @@ func KeyOf(vals []Value) string { return encodeKey(vals) }
 // used by the primary-key and secondary indexes. NULLs are encoded
 // distinctly so unique indexes can choose to skip them.
 func encodeKey(vals []Value) string {
-	var b strings.Builder
+	var buf [64]byte
+	return string(AppendKey(buf[:0], vals))
+}
+
+// AppendKey appends the type-tagged key of a tuple of values to dst —
+// the one tuple-key format behind KeyOf and the index keys. Callers
+// probing a map with a reused buffer allocate only when they insert.
+func AppendKey(dst []byte, vals []Value) []byte {
 	for i, v := range vals {
 		if i > 0 {
-			b.WriteByte(0)
+			dst = append(dst, 0)
 		}
 		switch v.Kind {
 		case KNull:
-			b.WriteByte('n')
+			dst = append(dst, 'n')
 		case KInt:
-			b.WriteByte('i')
-			b.WriteString(strconv.FormatInt(v.I, 10))
+			dst = strconv.AppendInt(append(dst, 'i'), v.I, 10)
 		case KFloat:
-			b.WriteByte('f')
 			f := v.F
 			if f == 0 {
 				f = 0 // -0.0 keys like 0.0: Compare treats them as equal
 			}
-			b.WriteString(strconv.FormatFloat(f, 'b', -1, 64))
+			dst = strconv.AppendFloat(append(dst, 'f'), f, 'b', -1, 64)
 		case KString:
-			b.WriteByte('s')
-			b.WriteString(v.S)
+			dst = append(append(dst, 's'), v.S...)
 		case KBool:
 			if v.B {
-				b.WriteByte('t')
+				dst = append(dst, 't')
 			} else {
-				b.WriteByte('b')
+				dst = append(dst, 'b')
 			}
 		}
 	}
-	return b.String()
+	return dst
 }
