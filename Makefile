@@ -13,8 +13,11 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
+# perfbench/ is a module of its own, which the root ./... does not
+# reach.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 build:
 	$(GO) build ./...

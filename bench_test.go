@@ -853,9 +853,9 @@ func BenchmarkB11_BatchedSameTableWrites(b *testing.B) {
 // primary key per surviving row, versus the nested-loop baseline that
 // materializes the full author×team cross product before filtering.
 // Compiled must beat NestedLoopBaseline by ≥5x (it lands orders of
-// magnitude ahead; see EXPERIMENTS.md B12). UncompiledText isolates
-// the plan cache's share: same streaming executor, but re-translating
-// and re-parsing SQL text per request.
+// magnitude ahead; see EXPERIMENTS.md B12). Uncached isolates the
+// plan cache's share: same lowering and streaming executor, but
+// re-parsing the query and compiling its literal text per request.
 func BenchmarkB12_QueryJoin(b *testing.B) {
 	const authors = 1500
 	query := workload.Prologue + `
@@ -889,7 +889,7 @@ SELECT ?x ?team WHERE {
 			check(b, len(res.Solutions))
 		}
 	})
-	b.Run("UncompiledText", func(b *testing.B) {
+	b.Run("Uncached", func(b *testing.B) {
 		m := setup(b, core.Options{DisablePlanCache: true})
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -946,8 +946,8 @@ SELECT ?x ?team WHERE {
 // cycles a fixed pool of query strings (parse memo + bound plan both
 // hit — the steady state of a read-mostly endpoint); FreshParams sends
 // ever-changing strings sharing one shape (the plan cache hits, the
-// parse memo thrashes); CacheOff re-translates and re-parses SQL text
-// on every call, like the seed.
+// parse memo thrashes); CacheOff re-parses the query and compiles its
+// literal text on every call, caching nothing.
 func BenchmarkB13_QueryPlanCache(b *testing.B) {
 	const pool = 64
 	teamQuery := func(i int) string {

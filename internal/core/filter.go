@@ -47,8 +47,8 @@ import (
 //     non-zero constants, so the whole expression is infallible and
 //     both sides compute the identical float64.
 //   - Anything else — language-tagged or boolean constants, IRI
-//     comparisons, OR of AND, built-in calls — stays on the
-//     uncompiled path, whose virtual-view evaluation is authoritative.
+//     comparisons, OR of AND, built-in calls — evaluates over the
+//     virtual view, which is authoritative.
 //
 // Everything the lowering emits is an infallible typed comparison, so
 // the streaming executor keeps full predicate pushdown and early
@@ -103,9 +103,10 @@ func flipOp(op sparql.BinOp) sparql.BinOp {
 // conjuncts: each filter splits on && and every conjunct must be a
 // comparison between variables and literal constants. ok is false for
 // any other shape (||, arithmetic, built-ins, non-literal terms);
-// callers fall back to the uncompiled path. The same function feeds
-// shape normalization and translation, so conjunct order — and with it
-// parameter-slot alignment — is identical on both sides.
+// callers leave the query to the structural compile or the virtual
+// view. The same function feeds shape normalization and translation,
+// so conjunct order — and with it parameter-slot alignment — is
+// identical on both sides.
 func lowerFilterConds(filters []sparql.Expr) ([]filterCond, bool) {
 	var out []filterCond
 	for _, f := range filters {
@@ -615,7 +616,7 @@ func applyQueryModifiers(st *SelectTranslation, q *sparql.Query, spec *sqlgen.Se
 		if b.nullable {
 			// SQL NULL ordering vs SPARQL unbound-first ordering is an
 			// equivalence this lowering does not prove; optional
-			// variables order on the uncompiled path.
+			// variables order over the virtual view.
 			return fmt.Errorf("core: ORDER BY on optional variable ?%s is not translatable", k.Var)
 		}
 		switch colClass(col.Type) {

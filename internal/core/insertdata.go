@@ -330,9 +330,10 @@ func propertyOf(am *r3m.AttributeMap) string {
 	return am.Property.Value
 }
 
-// linkRowExists probes for an existing link row via SQL.
+// linkRowExists probes for an existing link row, lowering the probe
+// SELECT straight to the executor's AST.
 func (m *Mediator) linkRowExists(tx *rdb.Tx, link resolvedLink) (bool, error) {
-	sql := sqlgen.Select(sqlgen.SelectSpec{
+	sel, err := specSelect(&sqlgen.SelectSpec{
 		Columns: []string{link.lt.SubjectAttr.Name},
 		From:    link.lt.Name,
 		Where: []sqlgen.WhereSpec{
@@ -342,11 +343,14 @@ func (m *Mediator) linkRowExists(tx *rdb.Tx, link resolvedLink) (bool, error) {
 		Limit:  -1,
 		Offset: -1,
 	})
-	r, err := sqlexec.ExecSQL(tx, sql)
 	if err != nil {
 		return false, err
 	}
-	return len(r.Set.Rows) > 0, nil
+	rs, err := sqlexec.Select(tx, sel)
+	if err != nil {
+		return false, err
+	}
+	return len(rs.Rows) > 0, nil
 }
 
 // executeStatements runs planned statements through the SQL front-end

@@ -46,9 +46,12 @@ type Options struct {
 	// triples are superseded by an INSERT of the same subject and
 	// property (Section 5.2's optimization turned off).
 	DisableModifyOptimization bool
-	// DisablePlanCache turns off the compiled-plan pipeline: every
-	// request is fully re-translated per call and executed under the
-	// whole-database write lock, like the paper's prototype.
+	// DisablePlanCache turns off the plan caches and parse memos:
+	// every update request is fully re-translated per call and
+	// executed under the whole-database write lock, like the paper's
+	// prototype, and every query compiles its literal text afresh,
+	// uncached, through the same lowering and executor (falling back
+	// to the virtual RDF view as usual).
 	DisablePlanCache bool
 	// PlanCacheSize bounds the number of cached plans (shapes); 0
 	// means DefaultPlanCacheSize.
@@ -94,8 +97,8 @@ type Mediator struct {
 	// Options.DisableWriteBatching is set.
 	sched *writeScheduler
 
-	// queryCompiled / queryFallback count Query calls served by a
-	// bound plan vs the uncompiled fallback (see QueryExecStats).
+	// queryCompiled / queryFallback count queries served by a memoized
+	// bound plan vs the fallback routes (see QueryExecStats).
 	queryCompiled atomic.Uint64
 	queryFallback atomic.Uint64
 

@@ -6,6 +6,7 @@ import (
 	"ontoaccess/internal/rdb"
 	"ontoaccess/internal/rdf"
 	"ontoaccess/internal/sparql"
+	"ontoaccess/internal/sqlgen"
 	"ontoaccess/internal/update"
 )
 
@@ -32,10 +33,13 @@ func (m *Mediator) execModify(tx *rdb.Tx, op update.Modify) (*OpResult, error) {
 	// over the virtual view (same relational data, no materialized
 	// triples).
 	var sols sparql.Solutions
-	if st, err := m.TranslateSelect(tx, op.Where, nil); err == nil {
-		res.SQL = append(res.SQL, st.SQL)
-		sols, err = st.Run(tx)
+	if st, spec, err := m.translateSelect(tx, op.Where, nil, nil); err == nil {
+		res.SQL = append(res.SQL, sqlgen.Select(*spec))
+		sel, err := specSelect(spec)
 		if err != nil {
+			return res, err
+		}
+		if sols, err = m.runParsed(tx, sel, st.bindings); err != nil {
 			return res, err
 		}
 	} else {

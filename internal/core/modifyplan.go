@@ -343,7 +343,7 @@ func sortedTableNames(set map[string]bool) []string {
 // and runs at execution time.
 type boundModify struct {
 	sql      string
-	stmt     sqlparser.Statement
+	stmt     sqlparser.Select
 	del, ins []sparql.TriplePattern
 	// shards is the keyed lock demand computed from the bound template
 	// subjects; nil when the plan runs under whole-table locks.
@@ -532,9 +532,8 @@ func materializeTerm(t normPatTerm, args []string) sparql.PatternTerm {
 // and execute the DELETE DATA / INSERT DATA pair.
 func (p *ModifyPlan) execBound(m *Mediator, tx *rdb.Tx, bm *boundModify) (*OpResult, error) {
 	res := &OpResult{Operation: "MODIFY"}
-	st := &SelectTranslation{SQL: bm.sql, Vars: p.sel.vars, bindings: p.sel.bindings, m: m}
-	res.SQL = append(res.SQL, st.SQL)
-	sols, err := st.runParsed(tx, bm.stmt)
+	res.SQL = append(res.SQL, bm.sql)
+	sols, err := m.runParsed(tx, bm.stmt, p.sel.bindings)
 	if err != nil {
 		return res, err
 	}

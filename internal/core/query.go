@@ -2,11 +2,11 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 
 	"ontoaccess/internal/r3m"
 	"ontoaccess/internal/rdb"
-	"ontoaccess/internal/rdb/sqlexec"
 	"ontoaccess/internal/rdb/sqlparser"
 	"ontoaccess/internal/rdf"
 	"ontoaccess/internal/sparql"
@@ -16,8 +16,8 @@ import (
 // SelectTranslation is the result of translating a SPARQL basic graph
 // pattern to a single SQL SELECT (the paper's translateSelect step in
 // Algorithm 2, and the read path the prototype had "under
-// development"). Decode turns the SQL result set back into SPARQL
-// solutions.
+// development"). Its bindings decode the SQL result rows back into
+// SPARQL solutions.
 type SelectTranslation struct {
 	// SQL is the generated statement.
 	SQL string
@@ -29,7 +29,6 @@ type SelectTranslation struct {
 	// its binding — ORDER BY keys and FILTER operands may use variables
 	// outside the projection.
 	binds map[string]varBinding
-	m     *Mediator
 }
 
 type bindKind int
@@ -218,7 +217,7 @@ func (m *Mediator) translateSelect(tx *rdb.Tx, where *sparql.GroupPattern, projV
 	if projVars == nil {
 		projVars = tr.bindSeq
 	}
-	st := &SelectTranslation{m: m, binds: tr.bind}
+	st := &SelectTranslation{binds: tr.bind}
 	var cols []string
 	for _, v := range projVars {
 		b, ok := tr.bind[v]
@@ -239,9 +238,8 @@ func (m *Mediator) translateSelect(tx *rdb.Tx, where *sparql.GroupPattern, projV
 		return nil, nil, err
 	}
 	// The SQL text is rendered by the caller once the spec is final:
-	// the uncompiled read path first lowers the query's solution
-	// modifiers onto it, and in compile mode Param-marked conditions
-	// carry no values yet.
+	// query plans first lower the solution modifiers onto it, and in
+	// compile mode Param-marked conditions carry no values yet.
 	return st, spec, nil
 }
 
@@ -616,46 +614,17 @@ func splitAlias(qualified string) (alias, col string) {
 	return qualified[:i], qualified[i+1:]
 }
 
-// Run executes the translation and decodes the result set into SPARQL
-// solutions.
-func (st *SelectTranslation) Run(tx *rdb.Tx) (sparql.Solutions, error) {
-	stmt, err := sqlparser.ParseStatement(st.SQL)
-	if err != nil {
-		return nil, err
-	}
-	return st.runParsed(tx, stmt)
-}
-
-// runParsed executes an already-parsed statement of the translation —
-// compiled MODIFY plans parse the bound SELECT once per argument
-// vector and re-execute the parsed form.
-func (st *SelectTranslation) runParsed(tx *rdb.Tx, stmt sqlparser.Statement) (sparql.Solutions, error) {
-	res, err := sqlexec.Exec(tx, stmt)
-	if err != nil {
-		return nil, err
-	}
+// runParsed executes a lowered SELECT of the translation and collects
+// the decoded solutions: MODIFY's WHERE needs every binding before its
+// first write, a UNION branch every row before the shared tail.
+func (m *Mediator) runParsed(tx *rdb.Tx, sel sqlparser.Select, bindings []varBinding) (sparql.Solutions, error) {
 	var sols sparql.Solutions
-	for _, row := range res.Set.Rows {
-		b := make(sparql.Binding, len(st.bindings))
-		skip := false
-		for i, vb := range st.bindings {
-			v := row[i]
-			if v.IsNull() {
-				if vb.nullable {
-					continue // OPTIONAL/aggregate NULL: variable stays unbound
-				}
-				skip = true
-				break
-			}
-			term, err := st.decodeValue(tx, vb, v)
-			if err != nil {
-				return nil, err
-			}
-			b[vb.name] = term
-		}
-		if !skip {
-			sols = append(sols, b)
-		}
+	err := m.scanSolutions(tx, sel, bindings, func(b sparql.Binding) (bool, error) {
+		sols = append(sols, maps.Clone(b))
+		return true, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return sols, nil
 }
@@ -665,7 +634,7 @@ func (st *SelectTranslation) runParsed(tx *rdb.Tx, stmt sqlparser.Statement) (sp
 // Schema accessor takes the catalog lock, which this goroutine
 // already holds via tx, and a queued DDL writer would deadlock a
 // recursive read-lock.
-func (st *SelectTranslation) decodeValue(tx *rdb.Tx, vb varBinding, v rdb.Value) (rdf.Term, error) {
+func (m *Mediator) decodeValue(tx *rdb.Tx, vb varBinding, v rdb.Value) (rdf.Term, error) {
 	switch {
 	case vb.kind == bindAgg:
 		// Aggregate results decode as plain literals of their engine
@@ -674,7 +643,7 @@ func (st *SelectTranslation) decodeValue(tx *rdb.Tx, vb varBinding, v rdb.Value)
 		// evaluator's aggregation reproduces byte-for-byte.
 		return rdf.Literal(v.Text()), nil
 	case vb.kind == bindSubject:
-		uri, err := st.m.mapping.InstanceURI(vb.tm, map[string]string{vb.col: v.Text()})
+		uri, err := m.mapping.InstanceURI(vb.tm, map[string]string{vb.col: v.Text()})
 		if err != nil {
 			return rdf.Term{}, err
 		}
@@ -684,7 +653,7 @@ func (st *SelectTranslation) decodeValue(tx *rdb.Tx, vb varBinding, v rdb.Value)
 		if err != nil {
 			return rdf.Term{}, fmt.Errorf("core: missing schema for %q", vb.refTM.Name)
 		}
-		uri, err := st.m.mapping.InstanceURI(vb.refTM, map[string]string{refSchema.PrimaryKey[0]: v.Text()})
+		uri, err := m.mapping.InstanceURI(vb.refTM, map[string]string{refSchema.PrimaryKey[0]: v.Text()})
 		if err != nil {
 			return rdf.Term{}, err
 		}
@@ -708,8 +677,9 @@ type QueryResult struct {
 	Graph *rdf.Graph
 	// Bool is set for ASK.
 	Bool bool
-	// SQL records the translated SELECT when the BGP fast path was
-	// used; empty means the query ran over the virtual RDF view.
+	// SQL is the display text of the translated SELECT when a compiled
+	// plan answered (branches joined by UNION ALL for a UNION); empty
+	// means the query ran over the virtual RDF view.
 	SQL string
 }
 
@@ -720,133 +690,66 @@ type QueryResult struct {
 // ORDER BY / LIMIT / OFFSET lowered onto it) executed directly by the
 // streaming index-aware executor over the pinned snapshot — and
 // repeated query strings skip straight to the bound plan through the
-// parse memo. Richer queries (OPTIONAL, UNION, non-comparison FILTER
-// shapes), and every query when Options.DisablePlanCache is set, take
-// the uncompiled path: the text-SQL fast path for translatable
-// SELECTs, then evaluation over the virtual RDF view, exactly the
-// paper's read path.
+// parse memo. Richer SELECTs (OPTIONAL, UNION, aggregates, FILTER
+// disjunctions) compile as structural plans keyed on their text, and
+// with Options.DisablePlanCache set every translatable SELECT compiles
+// its literal text uncached. Everything else evaluates over the
+// virtual RDF view, exactly the paper's read path.
 func (m *Mediator) Query(src string) (*QueryResult, error) {
 	return m.QueryOn(src, rdb.ReadTarget{})
 }
 
 // QueryOn evaluates a SPARQL query against a read target: the live
 // head (zero target), a retained historical version (AsOf), or a
-// branch head (Branch). Compiled plans, the parse memo and both
-// fallback paths all run against the same resolved snapshot, so the
-// result is byte-identical to what Query returned when that version
-// was the head.
+// branch head (Branch). It collects QueryStreamOn's dispatch, so every
+// route runs against the same resolved snapshot, and the result is
+// byte-identical to what Query returned when that version was the head.
 func (m *Mediator) QueryOn(src string, target rdb.ReadTarget) (*QueryResult, error) {
-	if !m.opts.DisablePlanCache {
-		if cq, hit := m.qparses.get(src); hit {
-			if out, err, handled := m.runCachedQuery(cq, target); handled {
-				m.queryCompiled.Add(1)
-				return out, err
-			}
-			m.queryFallback.Add(1)
-			return m.queryUncompiled(cq.q, target)
-		}
-	}
-	q, err := sparql.ParseQuery(src)
+	var c resultSink
+	sql, err := m.dispatch(src, &c, target)
 	if err != nil {
 		return nil, err
 	}
-	if !m.opts.DisablePlanCache {
-		cq := m.buildCachedQuery(src, q)
-		m.qparses.put(src, cq)
-		if out, err, handled := m.runCachedQuery(cq, target); handled {
-			m.queryCompiled.Add(1)
-			return out, err
-		}
-	}
-	m.queryFallback.Add(1)
-	return m.queryUncompiled(q, target)
+	c.out.SQL = sql
+	return &c.out, nil
 }
 
-// QueryExecStats reports how many Query calls were served by a bound
-// compiled plan versus the uncompiled fallback (text fast path or
+// QueryExecStats reports how many queries were served by a memoized
+// bound plan versus the fallback routes (a literal compile or
 // virtual-view evaluation) — the read-path effectiveness counter
 // /healthz exposes.
 func (m *Mediator) QueryExecStats() (compiled, fallback uint64) {
 	return m.queryCompiled.Load(), m.queryFallback.Load()
 }
 
-// queryUncompiled is the paper-faithful read path: translate SELECTs —
-// including comparison FILTERs and solution modifiers since the
-// compiled pipeline learned them — to SQL text, parse and execute it;
-// everything else (and any translation failure) evaluates over the
-// virtual RDF view. It executes the exact SQL the compiled path lowers
-// structurally, serving as the parity baseline for the plan pipeline.
-func (m *Mediator) queryUncompiled(q *sparql.Query, target rdb.ReadTarget) (*QueryResult, error) {
-	out := &QueryResult{Form: q.Form}
-	err := m.viewOn(target, func(tx *rdb.Tx) error {
-		// Fast path: SELECT over a translatable pattern — aggregating,
-		// UNION-splitting, or plain, in that order of specificity.
-		if q.Form == sparql.FormSelect && q.Where != nil {
-			switch {
-			case q.Aggs != nil:
-				if st, sql, ok := m.runAggregateSelect(tx, q); ok {
-					out.Vars = st.vars
-					out.Solutions = st.sols
-					out.SQL = sql
-					return nil
-				}
-			case len(q.Where.Unions) == 1:
-				if st, sql, ok := m.runUnionSelect(tx, q); ok {
-					out.Vars = st.vars
-					out.Solutions = st.sols
-					out.SQL = sql
-					return nil
-				}
-			case len(q.Where.Unions) == 0:
-				proj := q.Vars
-				if q.Star {
-					proj = q.Where.Vars()
-				}
-				if st, spec, terr := m.translateSelect(tx, q.Where, proj, nil); terr == nil {
-					if merr := applyQueryModifiers(st, q, spec); merr == nil {
-						st.SQL = sqlgen.Select(*spec)
-						sols, rerr := st.Run(tx)
-						if rerr == nil {
-							out.Vars = st.Vars
-							out.Solutions = sols
-							out.SQL = st.SQL
-							return nil
-						}
-					}
-				}
-			}
-		}
-		// General path: evaluate over the virtual view.
+// queryVirtual evaluates a query over the virtual RDF view and
+// delivers the result through sink — the paper's read path for
+// everything the translator cannot lower, and the semantic oracle the
+// compiled plans are checked against.
+func (m *Mediator) queryVirtual(q *sparql.Query, sink StreamSink, target rdb.ReadTarget) error {
+	return m.viewOn(target, func(tx *rdb.Tx) error {
 		vg := m.VirtualGraph(tx)
 		switch q.Form {
-		case sparql.FormSelect:
-			sols, err := sparql.Eval(vg, q)
-			if err != nil {
-				return err
-			}
-			out.Solutions = sols
-			if q.Star {
-				out.Vars = q.Where.Vars()
-			} else {
-				out.Vars = q.Vars
-			}
 		case sparql.FormAsk:
 			b, err := sparql.EvalAsk(vg, q)
 			if err != nil {
 				return err
 			}
-			out.Bool = b
+			return sink.Ask(b)
 		case sparql.FormConstruct:
 			g, err := sparql.EvalConstruct(vg, q)
 			if err != nil {
 				return err
 			}
-			out.Graph = g
+			return sink.Graph(g)
 		}
-		return nil
+		sols, err := sparql.Eval(vg, q)
+		if err != nil {
+			return err
+		}
+		if q.Star {
+			return replaySelect(q.Where.Vars(), sols, sink)
+		}
+		return replaySelect(q.Vars, sols, sink)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

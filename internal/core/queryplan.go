@@ -7,7 +7,6 @@ import (
 
 	"ontoaccess/internal/rdb"
 	"ontoaccess/internal/rdb/sqlparser"
-	"ontoaccess/internal/rdf"
 	"ontoaccess/internal/sparql"
 	"ontoaccess/internal/sqlgen"
 )
@@ -37,10 +36,11 @@ import (
 // and "LIMIT 30" share one plan. Shapes the compiler cannot prove
 // equivalent — OPTIONAL / UNION patterns, non-comparison FILTERs,
 // variable predicates, unmapped vocabulary, modifiers on ASK or
-// CONSTRUCT — take the uncompiled path: first the text-SQL fast path,
-// then evaluation over the virtual RDF view, exactly the paper's
-// behaviour. That path also remains the parity baseline the
-// differential harness checks the compiled pipeline against.
+// CONSTRUCT — compile their literal text as a zero-slot structural
+// plan when they are translatable SELECTs, and otherwise evaluate over
+// the virtual RDF view, exactly the paper's behaviour. The literal
+// compile is also the parity baseline (Options.DisablePlanCache) the
+// differential harness checks parameterized binding against.
 
 // normQuery is a query with its WHERE triples, FILTER constants,
 // LIMIT/OFFSET values (and CONSTRUCT template) parameterized. The
@@ -56,8 +56,8 @@ type normQuery struct {
 
 // normalizeQuery parameterizes a query for the plan cache. Queries
 // with OPTIONAL/UNION patterns, non-comparison FILTER shapes, or
-// solution modifiers on non-SELECT forms are not plannable; ok is
-// false and the caller uses the uncompiled path.
+// solution modifiers on non-SELECT forms are not normalizable; ok is
+// false and the caller tries the structural compile (queryShape).
 func normalizeQuery(q *sparql.Query) (key string, args []string, nq *normQuery, ok bool) {
 	w := q.Where
 	if w == nil || len(w.Triples) == 0 ||
@@ -180,39 +180,44 @@ func (p *QueryPlan) Key() string { return p.key }
 // Slots returns the number of parameter slots.
 func (p *QueryPlan) Slots() int { return p.slots }
 
-// ReadTables returns the tables the compiled SELECT reads.
-func (p *QueryPlan) ReadTables() []string {
+// templates returns the plan's SELECT templates: one per UNION
+// branch, else the single one.
+func (p *QueryPlan) templates() []selectTemplate {
 	if len(p.union) > 0 {
-		var out []string
-		seen := map[string]bool{}
-		for _, br := range p.union {
-			for _, t := range append([]string{br.spec.From}, joinTables(br.spec.Joins)...) {
-				if !seen[t] {
-					seen[t] = true
-					out = append(out, t)
-				}
-			}
-		}
-		return out
+		return p.union
 	}
-	return append([]string{p.sel.spec.From}, joinTables(p.sel.spec.Joins)...)
+	return []selectTemplate{p.sel}
 }
 
-func joinTables(joins []sqlgen.JoinSpec) []string {
+// ReadTables returns the tables the compiled SELECTs read, each once.
+func (p *QueryPlan) ReadTables() []string {
 	var out []string
-	for _, j := range joins {
-		out = append(out, j.Table)
+	seen := map[string]bool{}
+	add := func(t string) {
+		if !seen[t] {
+			seen[t] = true
+			out = append(out, t)
+		}
+	}
+	for _, t := range p.templates() {
+		add(t.spec.From)
+		for _, j := range t.spec.Joins {
+			add(j.Table)
+		}
 	}
 	return out
 }
 
-// Explain renders the compiled shape with ?n parameter markers.
+// Explain renders the compiled shape with ?n parameter markers, one
+// SELECT template line per UNION branch.
 func (p *QueryPlan) Explain() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s plan: %d slot(s), reads %s\n",
 		p.form, p.slots, strings.Join(p.ReadTables(), ", "))
-	fmt.Fprintf(&b, "  SELECT template over %s (%d join(s), %d condition(s))\n",
-		p.sel.spec.From, len(p.sel.spec.Joins), len(p.sel.spec.Where))
+	for _, t := range p.templates() {
+		fmt.Fprintf(&b, "  SELECT template over %s (%d join(s), %d condition(s))\n",
+			t.spec.From, len(t.spec.Joins), len(t.spec.Where))
+	}
 	for _, np := range p.tmpl {
 		fmt.Fprintf(&b, "  TEMPLATE %s %s %s\n",
 			describePatTerm(np.s), describePatTerm(np.p), describePatTerm(np.o))
@@ -286,8 +291,9 @@ func richQueryEligible(q *sparql.Query) bool {
 
 // compileRichQueryPlan compiles the rich SELECT surface — OPTIONAL
 // groups, one UNION construct, aggregate projections, FILTER
-// disjunctions — through the same comp=nil lowering the uncompiled
-// text fast path uses, so the two modes cannot diverge.
+// disjunctions — through the comp=nil lowering. The same compile of
+// the literal text is the dispatch's fallback for any translatable
+// SELECT whose parameterized plan is missing or fails.
 func (m *Mediator) compileRichQueryPlan(key string, q *sparql.Query) (*QueryPlan, error) {
 	p := &QueryPlan{key: key, form: q.Form, richQ: q, limSlot: -1, offSlot: -1}
 	err := m.db.View(func(tx *rdb.Tx) error {
@@ -380,7 +386,7 @@ func projectionFor(q *sparql.Query) []string {
 
 // boundQuery is a QueryPlan instantiated with one argument vector: the
 // lowered sqlparser AST ready for direct execution, the rendered SQL
-// (reporting only — it is never re-parsed), and the materialized
+// (display only — it is never re-parsed), and the materialized
 // CONSTRUCT template.
 type boundQuery struct {
 	sql   string
@@ -392,14 +398,16 @@ type boundQuery struct {
 // bind instantiates the plan, verifying the shape assumptions
 // re-binding could break (see selectTemplate.bindSpec). Callers treat
 // every error as "not plannable for these parameters" and fall back to
-// the uncompiled path.
+// the next route. A UNION's display SQL joins the branch SELECTs by
+// UNION ALL under one terminator: the branches concatenate as bags
+// before the solution-level tail.
 func (p *QueryPlan) bind(m *Mediator, args []string) (*boundQuery, error) {
 	if len(args) != p.slots {
 		return nil, errPlanStale
 	}
 	if len(p.union) > 0 {
 		bq := &boundQuery{}
-		var sqls []string
+		var sql strings.Builder
 		for i := range p.union {
 			spec, err := p.union[i].bindSpec(m, args)
 			if err != nil {
@@ -410,9 +418,12 @@ func (p *QueryPlan) bind(m *Mediator, args []string) (*boundQuery, error) {
 				return nil, err
 			}
 			bq.union = append(bq.union, sel)
-			sqls = append(sqls, sqlgen.Select(spec))
+			if i > 0 {
+				sql.WriteString(" UNION ALL ")
+			}
+			sql.WriteString(strings.TrimSuffix(sqlgen.Select(spec), ";"))
 		}
-		bq.sql = strings.Join(sqls, " UNION ")
+		bq.sql = sql.String() + ";"
 		return bq, nil
 	}
 	spec, err := p.sel.bindSpec(m, args)
@@ -616,76 +627,55 @@ func colRefOf(qualified string) sqlparser.ColRef {
 	return sqlparser.ColRef{Column: qualified}
 }
 
-// ---- execution -----------------------------------------------------
-
-// exec runs the bound plan against the transaction's pinned snapshot.
-func (p *QueryPlan) exec(m *Mediator, tx *rdb.Tx, bq *boundQuery) (*QueryResult, error) {
-	out := &QueryResult{Form: p.form, SQL: bq.sql}
-	if len(p.union) > 0 {
-		var all sparql.Solutions
-		for i := range p.union {
-			st := &SelectTranslation{
-				SQL: bq.sql, Vars: p.union[i].vars, bindings: p.union[i].bindings, m: m,
-			}
-			sols, err := st.runParsed(tx, bq.union[i])
-			if err != nil {
-				return nil, err
-			}
-			all = append(all, sols...)
-		}
-		out.Vars = p.union[0].vars
-		out.Solutions = unionTail(all, p.richQ)
-		return out, nil
-	}
-	st := &SelectTranslation{SQL: bq.sql, Vars: p.sel.vars, bindings: p.sel.bindings, m: m}
-	sols, err := st.runParsed(tx, bq.sel)
-	if err != nil {
-		return nil, err
-	}
-	switch p.form {
-	case sparql.FormSelect:
-		out.Vars = st.Vars
-		out.Solutions = sols
-	case sparql.FormAsk:
-		out.Bool = len(sols) > 0
-	case sparql.FormConstruct:
-		g := rdf.NewGraph()
-		for _, b := range sols {
-			for _, tp := range bq.tmpl {
-				if t, ok := tp.Instantiate(b); ok {
-					g.Add(t)
-				}
-			}
-		}
-		out.Graph = g
-	}
-	return out, nil
-}
-
 // ---- mediator integration ------------------------------------------
 
 // cachedQuery is a query parse-memo entry: the parsed query plus the
-// bound plan when the shape compiled (nil plan/bound entries take the
-// uncompiled path directly).
+// bound plan when the shape compiled (nil plan/bound entries skip to
+// the fallback routes). rich marks a structural shape keyed on the
+// source text, whose compile already is the literal one.
 type cachedQuery struct {
 	q     *sparql.Query
 	plan  *QueryPlan
 	bound *boundQuery
+	rich  bool
+}
+
+// cachedQueryFor returns the parse-memo entry for src, parsing,
+// compiling and binding it on a miss.
+func (m *Mediator) cachedQueryFor(src string) (*cachedQuery, error) {
+	if cq, hit := m.qparses.get(src); hit {
+		return cq, nil
+	}
+	q, err := sparql.ParseQuery(src)
+	if err != nil {
+		return nil, err
+	}
+	cq := m.buildCachedQuery(src, q)
+	m.qparses.put(src, cq)
+	return cq, nil
+}
+
+// queryShape returns a query's plan-cache key, parameter arguments and
+// normalization: the normalized shape, or — for shapes normalization
+// rejects but richQueryEligible accepts — the rich key of the source
+// text with no slots and a nil normQuery. ok is false when neither
+// applies.
+func queryShape(src string, q *sparql.Query) (key string, args []string, nq *normQuery, ok bool) {
+	if key, args, nq, ok = normalizeQuery(q); ok || !richQueryEligible(q) {
+		return key, args, nq, ok
+	}
+	return richKey(src), nil, nil, true
 }
 
 // buildCachedQuery compiles and binds a parsed query; unplannable
-// shapes and stale bindings leave the plan unset. Shapes normalization
-// rejects may still compile as rich structural plans keyed on the
-// source text.
+// shapes and stale bindings leave the plan unset.
 func (m *Mediator) buildCachedQuery(src string, q *sparql.Query) *cachedQuery {
 	cq := &cachedQuery{q: q}
-	key, args, nq, ok := normalizeQuery(q)
+	key, args, nq, ok := queryShape(src, q)
 	if !ok {
-		if !richQueryEligible(q) {
-			return cq
-		}
-		key, args, nq = richKey(src), nil, nil
+		return cq
 	}
+	cq.rich = nq == nil
 	plan, ok := m.queryPlanForShape(key, len(args), q, nq)
 	if !ok {
 		return cq
@@ -713,26 +703,6 @@ func (m *Mediator) queryPlanForShape(key string, slots int, q *sparql.Query, nq 
 	return plan, true
 }
 
-// runCachedQuery executes a memoized query's bound plan inside a
-// lock-free snapshot view. handled is false when the entry is
-// uncompiled or the compiled execution failed — the uncompiled path is
-// then authoritative, mirroring the text fast path's silent fallback.
-func (m *Mediator) runCachedQuery(cq *cachedQuery, target rdb.ReadTarget) (*QueryResult, error, bool) {
-	if cq.bound == nil {
-		return nil, nil, false
-	}
-	var out *QueryResult
-	err := m.viewOn(target, func(tx *rdb.Tx) error {
-		var e error
-		out, e = cq.plan.exec(m, tx, cq.bound)
-		return e
-	})
-	if err != nil {
-		return nil, nil, false
-	}
-	return out, nil, true
-}
-
 // QueryPlanCacheStats reports the query plan cache's counters.
 func (m *Mediator) QueryPlanCacheStats() CacheStats {
 	if m.qplans == nil {
@@ -756,12 +726,9 @@ func (m *Mediator) QueryPlanFor(src string) (*QueryPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	key, args, nq, ok := normalizeQuery(q)
+	key, args, nq, ok := queryShape(src, q)
 	if !ok {
-		if !richQueryEligible(q) {
-			return nil, errUnplannable
-		}
-		key, args, nq = richKey(src), nil, nil
+		return nil, errUnplannable
 	}
 	plan, ok := m.queryPlanForShape(key, len(args), q, nq)
 	if !ok {

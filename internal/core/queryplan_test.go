@@ -161,6 +161,15 @@ func TestQueryPlanIntrospection(t *testing.T) {
 	if !strings.Contains(p.Explain(), "SELECT plan") {
 		t.Errorf("explain = %q", p.Explain())
 	}
+	// A UNION plan describes every branch template.
+	up, err := m.QueryPlanFor(paperPrologue + `SELECT ?n WHERE { { ?t foaf:name ?n . } UNION { ?x foaf:family_name ?n . } }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex := up.Explain(); !strings.Contains(ex, "SELECT template over team (0 join(s), 1 condition(s))") ||
+		!strings.Contains(ex, "SELECT template over author (0 join(s), 1 condition(s))") {
+		t.Errorf("UNION explain = %q", ex)
+	}
 	ask, err := m.QueryPlanFor(paperPrologue + `ASK { ex:author6 foaf:family_name "Hert" . }`)
 	if err != nil {
 		t.Fatal(err)
@@ -382,11 +391,34 @@ func TestQueryDisablePlanCacheMatchesSeedBehaviour(t *testing.T) {
 		t.Fatalf("res = %v, %v", res, err)
 	}
 	if res.SQL == "" {
-		t.Error("uncompiled BGP query should still use the text-SQL fast path")
+		t.Error("uncached BGP query should still run through the literal compile")
 	}
 	qs, ps := m.QueryPlanCacheStats(), m.QueryParseCacheStats()
 	if qs.Size != 0 || qs.Misses != 0 || ps.Size != 0 || ps.Misses != 0 {
 		t.Errorf("caches touched despite DisablePlanCache: plans %+v, parses %+v", qs, ps)
+	}
+}
+
+// TestUnionDisplaySQL pins the UNION display text: the branch SELECTs
+// without inner terminators, joined by UNION ALL (the branches
+// concatenate as bags before the solution-level tail), under one final
+// terminator — identical on the memoized and the uncached route.
+func TestUnionDisplaySQL(t *testing.T) {
+	const want = "SELECT t0.name FROM team t0 WHERE t0.name IS NOT NULL" +
+		" UNION ALL SELECT t0.lastname FROM author t0 WHERE t0.lastname IS NOT NULL;"
+	for _, opts := range []Options{{}, {DisablePlanCache: true}} {
+		m := paperMediator(t, opts)
+		mustExec(t, m, listing15)
+		res, err := m.Query(paperPrologue + `SELECT ?n WHERE { { ?t foaf:name ?n . } UNION { ?x foaf:family_name ?n . } } ORDER BY ?n`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.SQL != want {
+			t.Errorf("DisablePlanCache=%v: SQL = %q, want %q", opts.DisablePlanCache, res.SQL, want)
+		}
+		if len(res.Solutions) != 2 || res.Solutions[0]["n"].Value != "Hert" {
+			t.Errorf("DisablePlanCache=%v: solutions = %v", opts.DisablePlanCache, res.Solutions)
+		}
 	}
 }
 

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"maps"
+
 	"ontoaccess/internal/rdb"
 	"ontoaccess/internal/rdb/sqlexec"
+	"ontoaccess/internal/rdb/sqlparser"
 	"ontoaccess/internal/rdf"
 	"ontoaccess/internal/sparql"
 )
@@ -24,149 +27,218 @@ type StreamSink interface {
 }
 
 // QueryStream evaluates a SPARQL query and delivers the result
-// through sink instead of materializing a QueryResult. Result
-// content, order, and error outcomes match Query on the same source.
+// through sink instead of materializing a QueryResult. Query is a
+// collecting sink over the same dispatch, so result content, order
+// and error outcomes match Query on the same source.
 //
-// Compiled non-UNION SELECT plans stream end-to-end: the sqlexec
-// cursor pins one MVCC snapshot for its whole lifetime (lock-free
-// readers never block writers, so a cursor held open across a
-// concurrent MODIFY stream is safe and sees a single consistent
-// version), each row decodes straight into a reused binding, and the
-// sink sees solutions as the executor produces them — O(1) result
-// buffering regardless of result size. Plans whose solution tail must
-// see every row first (ORDER BY, aggregation, DISTINCT-after-sort)
-// materialize inside the cursor exactly as Query does and replay.
+// Compiled SELECT plans stream end-to-end: the sqlexec cursor pins one
+// MVCC snapshot for its whole lifetime (lock-free readers never block
+// writers, so a cursor held open across a concurrent MODIFY stream is
+// safe and sees a single consistent version), each row decodes
+// straight into a reused binding, and the sink sees solutions as the
+// executor produces them — O(1) result buffering regardless of result
+// size. Plans whose solution tail must see every row first (ORDER BY,
+// aggregation, DISTINCT-after-sort) materialize inside the cursor and
+// replay. ASK stops at the first witness row, CONSTRUCT instantiates
+// its template per row into the graph it hands to the sink, and UNION
+// buffers its branches for the solution-level tail.
 //
-// Error contract: before anything reaches the sink, errors behave as
-// in Query (compiled-path failures silently fall back to the
-// uncompiled path; its failure is authoritative). Once the sink has
-// received Head, an execution error aborts the stream mid-way and is
-// returned as-is — the sink has seen a valid prefix and the caller
-// owns the truncation semantics (the HTTP endpoint pins them; see
-// DESIGN.md §10).
-//
-// All other shapes — ASK, CONSTRUCT, UNION, uncompiled fallbacks, and
-// every query when Options.DisablePlanCache is set — evaluate through
-// the existing machinery and replay the materialized result through
-// the sink, so QueryStream is a strict superset interface over Query.
+// Error contract: before anything reaches the sink, a failing compiled
+// route silently gives way to the next one (see dispatch); the virtual
+// view's failure is authoritative. Once the sink has received Head, an
+// execution error aborts the stream mid-way and is returned as-is —
+// the sink has seen a valid prefix and the caller owns the truncation
+// semantics (the HTTP endpoint pins them; see DESIGN.md §10).
 func (m *Mediator) QueryStream(src string, sink StreamSink) error {
 	return m.QueryStreamOn(src, sink, rdb.ReadTarget{})
 }
 
-// QueryStreamOn is QueryStream against a read target: the compiled
-// cursor (and every fallback path) pins the resolved historical or
-// branch-head snapshot instead of the live head. A pinned AS OF stream
-// is byte-stable under concurrent writes — the cursor's snapshot can
-// no longer change hands mid-stream by definition.
+// QueryStreamOn is QueryStream against a read target: every route
+// pins the resolved historical or branch-head snapshot instead of the
+// live head. A pinned AS OF stream is byte-stable under concurrent
+// writes — the cursor's snapshot can no longer change hands mid-stream
+// by definition.
 func (m *Mediator) QueryStreamOn(src string, sink StreamSink, target rdb.ReadTarget) error {
-	if m.opts.DisablePlanCache {
-		out, err := m.QueryOn(src, target)
-		if err != nil {
-			return err
-		}
-		return replayResult(out, sink)
-	}
-	cq, hit := m.qparses.get(src)
-	if !hit {
-		q, err := sparql.ParseQuery(src)
-		if err != nil {
-			return err
-		}
-		cq = m.buildCachedQuery(src, q)
-		m.qparses.put(src, cq)
-	}
-	if cq.bound != nil && cq.plan.form == sparql.FormSelect && len(cq.plan.union) == 0 {
-		if handled, err := m.streamCompiled(cq, sink, target); handled {
-			m.queryCompiled.Add(1)
-			return err
-		}
-	} else if out, err, handled := m.runCachedQuery(cq, target); handled {
-		m.queryCompiled.Add(1)
-		if err != nil {
-			return err
-		}
-		return replayResult(out, sink)
-	}
-	m.queryFallback.Add(1)
-	out, err := m.queryUncompiled(cq.q, target)
-	if err != nil {
-		return err
-	}
-	return replayResult(out, sink)
+	_, err := m.dispatch(src, sink, target)
+	return err
 }
 
-// streamCompiled runs a bound non-UNION SELECT plan as a cursor over
-// one pinned snapshot, decoding rows into the sink on the fly.
-// handled is false when execution failed before anything reached the
-// sink — the uncompiled path is then authoritative, mirroring
-// runCachedQuery's silent fallback. Head is deferred until the first
-// surviving row (or successful completion), so head-of-stream
-// failures still fall back invisibly.
-func (m *Mediator) streamCompiled(cq *cachedQuery, sink StreamSink, target rdb.ReadTarget) (handled bool, err error) {
-	plan, bq := cq.plan, cq.bound
-	st := &SelectTranslation{SQL: bq.sql, Vars: plan.sel.vars, bindings: plan.sel.bindings, m: m}
+// dispatch is the single read dispatch behind Query and QueryStream.
+// It has two routes: a bound plan, lowered spec→AST by specSelect and
+// run as an sqlexec cursor, else evaluation over the virtual RDF view.
+// The bound plan is the memoized one; when it is missing, fails to
+// bind or fails before delivery — and for every query under
+// Options.DisablePlanCache — the literal query text compiles afresh,
+// uncached, as a zero-slot structural plan. It returns the display SQL
+// of the plan that delivered, "" for the virtual view.
+func (m *Mediator) dispatch(src string, sink StreamSink, target rdb.ReadTarget) (string, error) {
+	var q *sparql.Query
+	literal := true // whether a literal compile may still succeed
+	if m.opts.DisablePlanCache {
+		var err error
+		if q, err = sparql.ParseQuery(src); err != nil {
+			return "", err
+		}
+	} else {
+		cq, err := m.cachedQueryFor(src)
+		if err != nil {
+			return "", err
+		}
+		if cq.bound != nil {
+			if handled, err := m.runBound(cq.plan, cq.bound, sink, target); handled {
+				m.queryCompiled.Add(1)
+				return cq.bound.sql, err
+			}
+		}
+		// A structural plan already is the literal compile.
+		q, literal = cq.q, !cq.rich
+	}
+	m.queryFallback.Add(1)
+	if literal && richQueryEligible(q) {
+		if p, err := m.compileRichQueryPlan(richKey(src), q); err == nil {
+			if bq, err := p.bind(m, nil); err == nil {
+				if handled, err := m.runBound(p, bq, sink, target); handled {
+					return bq.sql, err
+				}
+			}
+		}
+	}
+	return "", m.queryVirtual(q, sink, target)
+}
+
+// runBound delivers a bound plan's result through sink, reading every
+// branch off one pinned snapshot of target. handled is false when
+// execution failed before anything reached the sink — the caller then
+// takes the next route. SELECT defers Head to the first surviving row
+// (or successful completion), so head-of-stream failures still fall
+// back invisibly; ASK, CONSTRUCT and UNION deliver once their cursors
+// completed.
+func (m *Mediator) runBound(p *QueryPlan, bq *boundQuery, sink StreamSink, target rdb.ReadTarget) (handled bool, err error) {
 	delivered := false
-	b := make(sparql.Binding, len(st.bindings))
-	verr := m.viewOn(target, func(tx *rdb.Tx) error {
-		return sqlexec.SelectFunc(tx, bq.sel,
-			func([]string) error { return nil },
-			func(row []rdb.Value) (bool, error) {
-				clear(b)
-				for i, vb := range st.bindings {
-					v := row[i]
-					if v.IsNull() {
-						if vb.nullable {
-							continue // OPTIONAL/aggregate NULL: variable stays unbound
-						}
-						return true, nil // non-nullable NULL: row yields no solution
-					}
-					term, derr := st.decodeValue(tx, vb, v)
-					if derr != nil {
-						return false, derr
-					}
-					b[vb.name] = term
+	err = m.viewOn(target, func(tx *rdb.Tx) error {
+		switch {
+		case len(p.union) > 0:
+			var sols sparql.Solutions
+			for i := range p.union {
+				branch, err := m.runParsed(tx, bq.union[i], p.union[i].bindings)
+				if err != nil {
+					return err
 				}
-				if !delivered {
-					delivered = true
-					if herr := sink.Head(st.Vars); herr != nil {
-						return false, herr
+				sols = append(sols, branch...)
+			}
+			delivered = true
+			return replaySelect(p.union[0].vars, unionTail(sols, p.richQ), sink)
+		case p.form == sparql.FormAsk:
+			found := false
+			err := m.scanSolutions(tx, bq.sel, p.sel.bindings, func(sparql.Binding) (bool, error) {
+				found = true
+				return false, nil // one witness decides the answer
+			})
+			if err != nil {
+				return err
+			}
+			delivered = true
+			return sink.Ask(found)
+		case p.form == sparql.FormConstruct:
+			g := rdf.NewGraph()
+			err := m.scanSolutions(tx, bq.sel, p.sel.bindings, func(b sparql.Binding) (bool, error) {
+				for _, tp := range bq.tmpl {
+					if t, ok := tp.Instantiate(b); ok {
+						g.Add(t)
 					}
-				}
-				if serr := sink.Solution(b); serr != nil {
-					return false, serr
 				}
 				return true, nil
 			})
-	})
-	if verr != nil {
-		if !delivered {
-			return false, nil
-		}
-		return true, verr
-	}
-	if !delivered {
-		return true, sink.Head(st.Vars)
-	}
-	return true, nil
-}
-
-// replayResult feeds an already-materialized QueryResult through a
-// sink — the bridge for every non-streaming execution path.
-func replayResult(out *QueryResult, sink StreamSink) error {
-	switch out.Form {
-	case sparql.FormAsk:
-		return sink.Ask(out.Bool)
-	case sparql.FormConstruct:
-		return sink.Graph(out.Graph)
-	default:
-		if err := sink.Head(out.Vars); err != nil {
-			return err
-		}
-		for _, b := range out.Solutions {
-			if err := sink.Solution(b); err != nil {
+			if err != nil {
 				return err
 			}
+			delivered = true
+			return sink.Graph(g)
 		}
-		return nil
+		err := m.scanSolutions(tx, bq.sel, p.sel.bindings, func(b sparql.Binding) (bool, error) {
+			if !delivered {
+				delivered = true
+				if err := sink.Head(p.sel.vars); err != nil {
+					return false, err
+				}
+			}
+			if err := sink.Solution(b); err != nil {
+				return false, err
+			}
+			return true, nil
+		})
+		if err != nil || delivered {
+			return err
+		}
+		delivered = true
+		return sink.Head(p.sel.vars)
+	})
+	return delivered, err
+}
+
+// scanSolutions runs a lowered SELECT as a cursor over tx and decodes
+// every row into one reused binding handed to emit; emit returning
+// false stops the scan. A row binding a non-nullable variable to NULL
+// yields no solution, an OPTIONAL or aggregate NULL leaves its
+// variable unbound.
+func (m *Mediator) scanSolutions(tx *rdb.Tx, sel sqlparser.Select, bindings []varBinding, emit func(sparql.Binding) (bool, error)) error {
+	b := make(sparql.Binding, len(bindings))
+	return sqlexec.SelectFunc(tx, sel,
+		func([]string) error { return nil },
+		func(row []rdb.Value) (bool, error) {
+			clear(b)
+			for i, vb := range bindings {
+				v := row[i]
+				if v.IsNull() {
+					if vb.nullable {
+						continue
+					}
+					return true, nil
+				}
+				term, err := m.decodeValue(tx, vb, v)
+				if err != nil {
+					return false, err
+				}
+				b[vb.name] = term
+			}
+			return emit(b)
+		})
+}
+
+// resultSink materializes a streamed result into a QueryResult — the
+// sink Query runs the dispatch into. It copies each binding, which the
+// cursor reuses across rows.
+type resultSink struct{ out QueryResult }
+
+func (c *resultSink) Head(vars []string) error {
+	c.out.Form, c.out.Vars = sparql.FormSelect, vars
+	return nil
+}
+
+func (c *resultSink) Solution(b sparql.Binding) error {
+	c.out.Solutions = append(c.out.Solutions, maps.Clone(b))
+	return nil
+}
+
+func (c *resultSink) Ask(b bool) error {
+	c.out.Form, c.out.Bool = sparql.FormAsk, b
+	return nil
+}
+
+func (c *resultSink) Graph(g *rdf.Graph) error {
+	c.out.Form, c.out.Graph = sparql.FormConstruct, g
+	return nil
+}
+
+// replaySelect feeds materialized SELECT solutions through a sink.
+func replaySelect(vars []string, sols sparql.Solutions, sink StreamSink) error {
+	if err := sink.Head(vars); err != nil {
+		return err
 	}
+	for _, b := range sols {
+		if err := sink.Solution(b); err != nil {
+			return err
+		}
+	}
+	return nil
 }

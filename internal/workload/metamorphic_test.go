@@ -13,8 +13,8 @@ import (
 // The metamorphic suite checks read-path invariants that relate
 // *different* queries over the *same* data — properties that hold for
 // any correct engine, so they need no per-query oracle. Each invariant
-// is asserted in both execution modes (compiled plans and the
-// uncompiled text/virtual path), and the two modes must also agree
+// is asserted in both execution modes (memoized plans and the
+// uncached literal-compile/virtual path), and the two modes must agree
 // with each other, which pins the rich lowering (UNION, OPTIONAL,
 // aggregates, FILTER disjunctions) from a second, independent angle to
 // the differential harness.
